@@ -48,7 +48,7 @@ from .interpret import (
     smooth_curve,
     variable_importance,
 )
-from .linalg import cholesky, rng_stream, sample_mvn, std_normal_quantile
+from .linalg import rng_stream, sample_mvn
 from .model import (
     ForwardTrace,
     ModelSpec,
@@ -78,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "NumericError",
-    "rng_stream", "cholesky", "std_normal_quantile", "sample_mvn",
+    "rng_stream", "sample_mvn",
     "Gaussian", "Poisson", "get_family", "get_link",
     "mse_loss", "poisson_deviance", "fit_null", "fit_glm",
     "ModelSpec", "Params", "ForwardTrace", "init_params", "forward",

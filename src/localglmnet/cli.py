@@ -67,17 +67,17 @@ def _load_model_spec(path, q):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _prepare_datasets(args, schema):
+def _prepare_datasets(args, schema, seed):
     """Load, optionally add a control column, and standardize with learning moments."""
     learn_raw = data_mod.load_csv(args.learn, schema)
     test_raw = data_mod.load_csv(args.test, schema) if args.test else None
     control = getattr(args, "add_control", "none")
     if control != "none":
         learn_raw = data_mod.add_control(learn_raw, control,
-                                         rng_stream(args.seed, "control-learn"))
+                                         rng_stream(seed, "control-learn"))
         if test_raw is not None:
             test_raw = data_mod.add_control(test_raw, control,
-                                            rng_stream(args.seed, "control-test"))
+                                            rng_stream(seed, "control-test"))
     learn, std_params = data_mod.standardize(learn_raw)
     test = data_mod.apply_standardize(test_raw, std_params) if test_raw is not None else None
     return learn_raw, test_raw, learn, test, std_params
@@ -111,10 +111,10 @@ def cmd_synth(args):
 
 def _fit_pipeline(args, schema):
     os.makedirs(args.out_dir, exist_ok=True)
-    learn_raw, test_raw, learn, test, std_params = _prepare_datasets(args, schema)
     config = load_train_config(args.train_config)
     if args.seed is not None:
         config.seed = args.seed
+    learn_raw, test_raw, learn, test, std_params = _prepare_datasets(args, schema, config.seed)
     spec = _load_model_spec(args.spec, q=learn.q)
     family = get_family(spec.family)
     link = get_link(spec.link)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.special import ndtri
 
-from .linalg import std_normal_quantile
 from .model import ModelSpec, Params, batch_input_jacobian
 
 __all__ = [
@@ -50,7 +50,7 @@ def interval(alpha: float, sd_control: float):
         raise ValueError(f"significance level must be in (0, 1/2), got {alpha}")
     if sd_control < 0.0:
         raise ValueError(f"control sd must be >= 0, got {sd_control}")
-    lo = std_normal_quantile(alpha / 2.0) * sd_control
+    lo = float(ndtri(alpha / 2.0)) * sd_control
     return lo, -lo
 
 

@@ -1,26 +1,17 @@
-"""Dense linear algebra, deterministic RNG streams, and Gaussian helpers.
+"""Deterministic RNG streams and multivariate normal sampling.
 
-Matrices are plain ``numpy.ndarray`` in C (row-major) order throughout the
-package; there is no wrapper type. Randomness always flows through
-:func:`rng_stream`, which derives an independent, reproducible generator
-from a 64-bit seed and a stream label, so a single run seed can feed
-data generation, splitting, initialization, shuffling and subsampling
-without the streams interfering.
+Randomness always flows through :func:`rng_stream`, which derives an
+independent, reproducible generator from a 64-bit seed and a stream
+label, so a single run seed can feed data generation, splitting,
+initialization, shuffling and subsampling without the streams
+interfering.
 """
-
-import math
 
 import numpy as np
 
 from .errors import NumericError
 
-__all__ = [
-    "rng_stream",
-    "cholesky",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "sample_mvn",
-]
+__all__ = ["rng_stream", "sample_mvn"]
 
 
 def rng_stream(seed: int, label: str = "") -> np.random.Generator:
@@ -36,82 +27,6 @@ def rng_stream(seed: int, label: str = "") -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == sigma.
-
-    Raises:
-        ValueError: if sigma is not square or not symmetric.
-        NumericError: if a pivot is not strictly positive, naming the
-            pivot index (the matrix is not positive definite).
-    """
-    a = np.asarray(sigma, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NumericError(
-                f"Cholesky factorization failed: pivot {j} is {pivot:.6g}; "
-                "matrix is not positive definite"
-            )
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-# Coefficients of Acklam's rational approximation to the inverse normal CDF.
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-_P_LOW = 0.02425
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF on (0, 1).
-
-    Rational approximation (central region and tails handled separately)
-    followed by one Halley refinement against the erfc-based CDF, which
-    brings the result to near machine precision.
-
-    Raises:
-        ValueError: if p is outside the open interval (0, 1).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    # One Halley step: e is the CDF error, u the Newton correction.
-    e = std_normal_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def sample_mvn(
     n: int,
     mean: np.ndarray,
@@ -123,10 +38,23 @@ def sample_mvn(
     Sampling is ``mean + Z @ L.T`` with Z standard normal and L the
     Cholesky factor of sigma, so the draw is deterministic given the
     generator state and fails loudly on non-positive-definite sigma.
+
+    Raises:
+        ValueError: if sigma is not square or not symmetric (the LAPACK
+            factorization would silently read only its lower triangle).
+        NumericError: if sigma is not positive definite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     mean = np.asarray(mean, dtype=float)
-    L = cholesky(sigma)
+    a = np.asarray(sigma, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix is not symmetric")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Cholesky factorization failed: {exc}") from None
     z = rng.standard_normal((n, mean.shape[0]))
     return mean + z @ L.T

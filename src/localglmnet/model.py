@@ -89,32 +89,44 @@ class ModelSpec:
         return len(self.hidden_dims) + 1
 
 
-@dataclass
 class Params:
-    """All trainable state: per-layer weights/biases plus the output bias.
+    """All trainable state in one contiguous float64 vector ``flat``.
 
-    ``weights[m]`` has shape (q_m, q_{m+1}) so layer m maps activations by
-    ``z @ weights[m] + biases[m]``. ``beta0`` is the intercept added after
-    the scalar product with the input.
+    ``flat`` holds every layer's weights, then every layer's biases, then
+    the output bias. ``weights[m]`` (shape (q_m, q_{m+1}), so layer m maps
+    activations by ``z @ weights[m] + biases[m]``) and ``biases[m]`` are
+    views into ``flat``: write them in place (``weights[m][:] = ...``).
+    ``beta0`` is the intercept added after the scalar product with the input.
     """
 
-    weights: list
-    biases: list
-    beta0: float
+    def __init__(self, layer_dims):
+        self.layer_dims = tuple(layer_dims)
+        shapes = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        self.flat = np.zeros(sum(a * b + b for a, b in shapes) + 1)
+        self.weights, self.biases, start = [], [], 0
+        for a, b in shapes:
+            self.weights.append(self.flat[start:start + a * b].reshape(a, b))
+            start += a * b
+        for _, b in shapes:
+            self.biases.append(self.flat[start:start + b])
+            start += b
+
+    @property
+    def beta0(self) -> float:
+        return float(self.flat[-1])
+
+    @beta0.setter
+    def beta0(self, value: float) -> None:
+        self.flat[-1] = value
 
     def copy(self) -> "Params":
-        return Params(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            beta0=float(self.beta0),
-        )
+        dup = Params(self.layer_dims)
+        dup.flat[:] = self.flat
+        return dup
 
     def check_finite(self) -> None:
-        for m, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericError(f"non-finite parameters in layer {m + 1}")
-        if not np.isfinite(self.beta0):
-            raise NumericError("non-finite output bias")
+        if not np.all(np.isfinite(self.flat)):
+            raise NumericError("non-finite parameters")
 
 
 @dataclass
@@ -152,17 +164,23 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 
     Callers that know the data pass the link-scale null value as
     ``output_bias`` so training starts from the null model.
     """
-    dims = spec.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    params = Params(spec.layer_dims)
+    for w in params.weights:
+        fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Params(weights=weights, biases=biases, beta0=float(output_bias))
+        w[:] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    params.beta0 = output_bias
+    return params
 
 
 def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
-    """Run the attention tower, returning per-layer pre-activations and activations."""
+    """Run the attention tower, returning per-layer pre-activations and activations.
+
+    ``acts[0]`` is the input X as a float array of shape (n, q).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != spec.q:
+        raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
     pre, acts = [], [X]
     z = X
     for m in range(spec.depth):
@@ -178,10 +196,8 @@ def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
 def forward(params: Params, spec: ModelSpec, X: np.ndarray,
             v: np.ndarray | None = None) -> ForwardTrace:
     """Full forward pass: attentions, linear predictor, and response mean."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.q:
-        raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
     pre, acts = _tower(params, spec, X)
+    X = acts[0]
     beta = acts[-1]
     eta = params.beta0 + np.sum(beta * X, axis=1)
     link = get_link(spec.link)
@@ -199,9 +215,6 @@ def forward(params: Params, spec: ModelSpec, X: np.ndarray,
 
 def attention(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     """Regression attentions beta_j(x_i) as an (n, q) matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.q:
-        raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
     _, acts = _tower(params, spec, X)
     return acts[-1]
 
@@ -222,9 +235,9 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
                          y: np.ndarray, v: np.ndarray | None = None):
     """Batch loss and its gradient with respect to every parameter.
 
-    Returns ``(loss, grads)`` where grads is Params-shaped. The loss is
-    the family's mean deviance over the batch. The skip connection routes
-    the chain rule into the tower as d eta / d beta_j = x_j.
+    Returns ``(loss, grads)`` where grads is a Params of the same layout.
+    The loss is the family's mean deviance over the batch. The skip
+    connection routes the chain rule into the tower as d eta / d beta_j = x_j.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -246,18 +259,16 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
         dmu_deta = dmu_deta * np.asarray(v, dtype=float)
     deta = dmu * dmu_deta
 
-    g_beta0 = float(np.sum(deta))
+    grads = Params(spec.layer_dims)
+    grads.beta0 = np.sum(deta)
     delta = deta[:, None] * X  # gradient wrt the tower output beta(x)
-
-    g_w = [None] * spec.depth
-    g_b = [None] * spec.depth
     for m in range(spec.depth - 1, -1, -1):
         da = delta * _act_deriv(spec.activations[m], trace.pre_activations[m])
-        g_w[m] = trace.activations[m].T @ da
-        g_b[m] = da.sum(axis=0)
+        np.matmul(trace.activations[m].T, da, out=grads.weights[m])
+        da.sum(axis=0, out=grads.biases[m])
         if m > 0:
             delta = da @ params.weights[m].T
-    return loss, Params(weights=g_w, biases=g_b, beta0=g_beta0)
+    return loss, grads
 
 
 def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
@@ -267,9 +278,6 @@ def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.n
     one forward pass across all q outputs. The skip connection does not
     enter the attentions, so only the tower is differentiated.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.q:
-        raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
     pre, _ = _tower(params, spec, X)
     d0 = _act_deriv(spec.activations[0], pre[0])  # (n, q_1)
     J = d0[:, :, None] * params.weights[0].T[None, :, :]  # (n, q_1, q)
@@ -300,7 +308,7 @@ def _encode(arr: np.ndarray) -> dict:
 
 def _decode(obj: dict) -> np.ndarray:
     buf = base64.b64decode(obj["data"])
-    return np.frombuffer(buf, dtype="<f8").reshape(obj["shape"]).copy()
+    return np.frombuffer(buf, dtype="<f8").reshape(obj["shape"])
 
 
 def save_model(path, spec: ModelSpec, params: Params, preprocess: dict | None = None) -> None:
@@ -336,19 +344,23 @@ def load_model(path):
         raise ConfigError(f"{path}: not a model file (format={doc.get('format')!r})")
     if doc.get("version") != _VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')!r}")
-    s = doc["spec"]
-    spec = ModelSpec(q=s["q"], hidden_dims=tuple(s["hidden_dims"]),
-                     activations=tuple(s["activations"]),
-                     family=s["family"], link=s["link"])
-    p = doc["params"]
-    params = Params(
-        weights=[_decode(w) for w in p["weights"]],
-        biases=[_decode(b) for b in p["biases"]],
-        beta0=float(_decode(p["beta0"])[0]),
-    )
-    expected = list(zip(spec.layer_dims[:-1], spec.layer_dims[1:]))
-    got = [w.shape for w in params.weights]
-    if got != [tuple(e) for e in expected]:
+    try:
+        s, p = doc["spec"], doc["params"]
+        spec = ModelSpec(q=s["q"], hidden_dims=tuple(s["hidden_dims"]),
+                         activations=tuple(s["activations"]),
+                         family=s["family"], link=s["link"])
+        weights = [_decode(w) for w in p["weights"]]
+        biases = [_decode(b) for b in p["biases"]]
+        beta0 = _decode(p["beta0"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed model file: {exc}") from None
+    params = Params(spec.layer_dims)
+    expected = ([w.shape for w in params.weights], [b.shape for b in params.biases], (1,))
+    got = ([w.shape for w in weights], [b.shape for b in biases], beta0.shape)
+    if got != expected:
         raise ConfigError(f"{path}: parameter shapes {got} do not match spec {expected}")
+    params.flat[:] = np.concatenate([a.ravel() for a in (*weights, *biases, beta0)])
     params.check_finite()
     return spec, params, doc.get("preprocess")

@@ -21,7 +21,6 @@ from .model import ModelSpec, Params, init_params, forward, loss_and_param_grads
 __all__ = [
     "TrainConfig",
     "TrainHistory",
-    "Moments",
     "load_train_config",
     "split_indices",
     "split_learn",
@@ -118,25 +117,9 @@ def split_learn(dataset, val_fraction: float, rng: np.random.Generator):
     return dataset.subset(idx_train), dataset.subset(idx_val)
 
 
-@dataclass
-class Moments:
-    """Nadam first/second moment accumulators, Params-shaped."""
-
-    m: Params
-    v: Params
-
-    @classmethod
-    def zeros_like(cls, params: Params) -> "Moments":
-        def z():
-            return Params(weights=[np.zeros_like(w) for w in params.weights],
-                          biases=[np.zeros_like(b) for b in params.biases],
-                          beta0=0.0)
-        return cls(m=z(), v=z())
-
-
-def nadam_step(params: Params, grads: Params, moments: Moments, t: int,
-               config: TrainConfig):
-    """One Nadam update; returns new (params, moments).
+def nadam_step(params: Params, grads: Params, m: np.ndarray, v: np.ndarray, t: int,
+               config: TrainConfig) -> None:
+    """One Nadam update of ``params.flat`` and the moment vectors m, v, in place.
 
     Standard exponential moments with a Nesterov-style lookahead on the
     bias-corrected first moment:
@@ -147,33 +130,16 @@ def nadam_step(params: Params, grads: Params, moments: Moments, t: int,
     """
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient in optimizer step")
     b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
-    c1 = 1.0 - b1 ** t
-    c1_next = 1.0 - b1 ** (t + 1)
-    c2 = 1.0 - b2 ** t
-
-    def update(theta, g, m, v):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in optimizer step")
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        m_hat = b1 * m_new / c1_next + (1.0 - b1) * g / c1
-        return theta - lr * m_hat / (np.sqrt(v_new / c2) + eps), m_new, v_new
-
-    def update_list(thetas, gs, ms, vs):
-        triples = [update(th, g, m, v) for th, g, m, v in zip(thetas, gs, ms, vs)]
-        return ([tr[0] for tr in triples], [tr[1] for tr in triples],
-                [tr[2] for tr in triples])
-
-    new_w, m_w, v_w = update_list(params.weights, grads.weights,
-                                  moments.m.weights, moments.v.weights)
-    new_b, m_b, v_b = update_list(params.biases, grads.biases,
-                                  moments.m.biases, moments.v.biases)
-    th0, m0, v0 = update(params.beta0, grads.beta0, moments.m.beta0, moments.v.beta0)
-    new_params = Params(weights=new_w, biases=new_b, beta0=float(th0))
-    new_moments = Moments(m=Params(weights=m_w, biases=m_b, beta0=float(m0)),
-                          v=Params(weights=v_w, biases=v_b, beta0=float(v0)))
-    return new_params, new_moments
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = b1 * m / (1.0 - b1 ** (t + 1)) + (1.0 - b1) * g / (1.0 - b1 ** t)
+    params.flat -= lr * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
 
 
 def evaluate_loss(params: Params, spec: ModelSpec, dataset) -> float:
@@ -198,7 +164,7 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
     null_value = fit_null(train_set.y, train_set.v, family)
     params = init_params(spec, rng_stream(config.seed, "init"),
                          output_bias=float(link.g(null_value)))
-    moments = Moments.zeros_like(params)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     shuffle_rng = rng_stream(config.seed, "shuffle")
 
     history = TrainHistory()
@@ -219,7 +185,7 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
                 raise NumericError(
                     f"epoch {epoch}, batch starting at {start}: {exc}") from exc
             t += 1
-            params, moments = nadam_step(params, grads, moments, t, config)
+            nadam_step(params, grads, m, v, t, config)
         trace = forward(params, spec, train_set.X, train_set.v)
         n_clamped += trace.n_clamped
         train_loss = family.loss(train_set.y, trace.mu, train_set.v)

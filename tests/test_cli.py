@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestFit:
         assert (out1 / "losses.csv").read_bytes() == (out2 / "losses.csv").read_bytes()
         assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
+
+    def test_add_control_without_seed_uses_config_seed(self, workdir):
+        synth_dir = workdir / "synth"
+        assert run("synth", "--n-learn", 300, "--n-test", 300, "--seed", 5,
+                   "--out-dir", synth_dir) == 0
+        common = ("fit", "--learn", synth_dir / "learn.csv", "--schema", workdir / "schema.txt",
+                  "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
+                  "--add-control", "normal")
+        assert run(*common, "--out-dir", workdir / "noseed") == 0
+        assert run(*common, "--out-dir", workdir / "seed3", "--seed", 3) == 0  # train.cfg seed
+        for name in ("losses.csv", "history.csv", "model.json"):
+            assert (workdir / "noseed" / name).read_bytes() == \
+                (workdir / "seed3" / name).read_bytes()
 
 
 class TestReport:
@@ -225,6 +239,21 @@ class TestExitCodes:
                    "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
                    "--out-dir", tmp_path / "x")
         assert code == 3
+
+    def test_malformed_model_is_config_error(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        doc = json.loads((fit_dir / "model.json").read_text())
+        bad_shape = json.loads(json.dumps(doc))
+        bad_shape["params"]["biases"][0] = doc["params"]["beta0"]  # would broadcast
+        del doc["params"]["biases"]
+        for name, bad in (("missing.json", doc), ("shape.json", bad_shape)):
+            (workdir / name).write_text(json.dumps(bad))
+            assert run("report", "--model", workdir / name, "--data", synth_dir / "test.csv",
+                       "--schema", workdir / "schema.txt", "--control", "x7",
+                       "--out-dir", workdir / "rep") == 2
+        err = capsys.readouterr().err
+        assert "missing.json: missing key 'biases'" in err
+        assert "shape.json: parameter shapes" in err
 
     def test_numeric_error_collinear_glm(self, workdir, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,21 @@ from localglmnet import (
     variable_importance,
 )
 from localglmnet.model import Params
+
+
+def bisect_quantile(p, lo=-12.0, hi=12.0):
+    """Independent inverse-CDF oracle: bisection on the erf-based CDF."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if normal_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 class TestSelectionStats:
@@ -58,6 +75,24 @@ class TestInterval:
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):
             interval(0.01, -1.0)
+
+    def test_upper_value_against_bisection(self):
+        _, hi = interval(0.05, 1.0)
+        assert hi == pytest.approx(bisect_quantile(0.975), abs=1e-9)
+        assert hi == pytest.approx(1.959964, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [2e-8, 2e-5, 0.0485, 0.3, 0.49])
+    def test_accuracy_grid(self, alpha):
+        lo, hi = interval(alpha, 1.0)
+        assert abs(lo - bisect_quantile(alpha / 2.0)) < 1e-6
+        assert abs(hi - bisect_quantile(1.0 - alpha / 2.0)) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=2e-8, max_value=0.5, exclude_max=True))
+    def test_inverse_property(self, alpha):
+        lo, hi = interval(alpha, 1.0)
+        assert abs(normal_cdf(lo) - alpha / 2.0) < 1e-9
+        assert abs(normal_cdf(hi) - (1.0 - alpha / 2.0)) < 1e-9
 
 
 class TestCoverageAndVerdict:
@@ -192,9 +227,8 @@ class TestSmoothCurve:
 class TestInteractionProfiles:
     def test_zero_tower_flat_profiles(self):
         spec = ModelSpec(q=3, hidden_dims=(5,))
-        dims = spec.layer_dims
-        params = Params(weights=[np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                        biases=[np.zeros(b) for b in dims[1:]], beta0=1.0)
+        params = Params(spec.layer_dims)
+        params.beta0 = 1.0
         X = rng_stream(6, "ip").standard_normal((200, 3))
         prof = interaction_profiles(params, spec, X, "x2")
         assert prof.focal == "x2"
@@ -204,9 +238,8 @@ class TestInteractionProfiles:
         # beta(x) = W^T x with a single off-diagonal entry gives a constant
         # sensitivity curve at exactly that entry's value.
         spec = ModelSpec(q=2)
-        W = np.zeros((2, 2))
-        W[1, 0] = 0.7  # beta_1(x) = 0.7 * x_2
-        params = Params(weights=[W], biases=[np.zeros(2)], beta0=0.0)
+        params = Params(spec.layer_dims)
+        params.weights[0][1, 0] = 0.7  # beta_1(x) = 0.7 * x_2
         X = rng_stream(7, "ip").standard_normal((300, 2))
         prof = interaction_profiles(params, spec, X, "x1")
         assert np.abs(prof.curves[1] - 0.7).max() < 1e-8

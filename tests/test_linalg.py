@@ -5,46 +5,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from localglmnet import cholesky, rng_stream, sample_mvn, std_normal_quantile
+from localglmnet import rng_stream, sample_mvn
 from localglmnet.errors import NumericError
 
 
-def bisect_quantile(p, lo=-12.0, hi=12.0):
-    """Independent inverse-CDF oracle: bisection on the erf-based CDF."""
-    def cdf(x):
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def draws(sigma, n, seed=0, mean=None):
+    """sample_mvn draws and the standard normals Z behind them."""
+    d = len(sigma)
+    mean = np.zeros(d) if mean is None else mean
+    X = sample_mvn(n, mean, np.asarray(sigma, dtype=float), rng_stream(seed, "mvn"))
+    return X - mean, rng_stream(seed, "mvn").standard_normal((n, d))
 
 
 class TestCholesky:
+    """The factor L that sample_mvn draws with: X = mean + Z @ L.T."""
+
     def test_identity(self):
-        assert_allclose(cholesky(np.eye(8)), np.eye(8))
+        X, Z = draws(np.eye(8), 20)
+        assert_allclose(X, Z)
 
     def test_two_by_two_closed_form(self):
-        L = cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        assert_allclose(L, [[1.0, 0.0], [0.5, math.sqrt(1.0 - 0.25)]], atol=1e-15)
+        X, Z = draws([[1.0, 0.5], [0.5, 1.0]], 20)
+        L = np.array([[1.0, 0.0], [0.5, math.sqrt(1.0 - 0.25)]])
+        assert_allclose(X, Z @ L.T, atol=1e-15)
 
     def test_scalar(self):
-        assert_allclose(cholesky(np.array([[4.0]])), [[2.0]])
-
-    def test_failure_names_pivot(self):
-        sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(NumericError, match="pivot 1"):
-            cholesky(sigma)
+        X, Z = draws([[4.0]], 20)
+        assert_allclose(X, 2.0 * Z)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            draws([[1.0, 0.2], [0.3, 1.0]], 5)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            cholesky(np.ones((2, 3)))
+            sample_mvn(5, np.zeros(2), np.ones((2, 3)), rng_stream(0, "mvn"))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**31))
@@ -52,40 +47,10 @@ class TestCholesky:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         sigma = A @ A.T + n * np.eye(n)
-        L = cholesky(sigma)
+        X, Z = draws(sigma, 4 * n, seed, mean=rng.standard_normal(n))
+        L = np.linalg.lstsq(Z, X, rcond=None)[0].T  # recover the factor from the draws
+        assert np.abs(np.triu(L, 1)).max(initial=0.0) < 1e-10 * np.abs(L).max()
         assert np.abs(L @ L.T - sigma).max() < 1e-10 * np.abs(sigma).max()
-        assert_allclose(L, np.linalg.cholesky(sigma), rtol=1e-12, atol=1e-12)
-
-
-class TestQuantile:
-    def test_median(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_tail_value(self):
-        # Half-width multiplier used by the 0.1% selection test.
-        assert std_normal_quantile(0.0005) == pytest.approx(-3.2905, abs=1e-3)
-
-    def test_upper_value_against_bisection(self):
-        assert std_normal_quantile(0.975) == pytest.approx(bisect_quantile(0.975), abs=1e-9)
-        assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    @pytest.mark.parametrize("p", [1e-8, 1e-5, 0.02425, 0.3, 0.5, 0.7, 0.97575, 1 - 1e-5, 1 - 1e-8])
-    def test_accuracy_grid(self, p):
-        assert abs(std_normal_quantile(p) - bisect_quantile(p)) < 1e-6
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=1e-8, max_value=1 - 1e-8))
-    def test_inverse_property(self, p):
-        x = std_normal_quantile(p)
-        assert abs(0.5 * math.erfc(-x / math.sqrt(2.0)) - p) < 1e-9
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
-
-    def test_symmetry(self):
-        assert std_normal_quantile(0.2) == pytest.approx(-std_normal_quantile(0.8), abs=1e-12)
 
 
 class TestRngStream:
@@ -125,7 +90,7 @@ class TestSampleMvn:
         assert np.array_equal(X1, X2)
 
     def test_propagates_cholesky_failure(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="not positive definite"):
             sample_mvn(10, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                        rng_stream(0, "mvn"))
 

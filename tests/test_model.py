@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from localglmnet import (
@@ -22,10 +25,9 @@ from localglmnet.errors import ConfigError, NumericError
 
 
 def zero_params(spec, beta0=0.0):
-    dims = spec.layer_dims
-    return Params(weights=[np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                  biases=[np.zeros(b) for b in dims[1:]],
-                  beta0=beta0)
+    params = Params(spec.layer_dims)
+    params.beta0 = beta0
+    return params
 
 
 def fd_param_grads(params, spec, X, y, v=None, h=1e-5):
@@ -36,21 +38,11 @@ def fd_param_grads(params, spec, X, y, v=None, h=1e-5):
         return family.loss(y, forward(p, spec, X, v).mu, v)
 
     grads = zero_params(spec)
-    for m in range(spec.depth):
-        for idx in np.ndindex(params.weights[m].shape):
-            p1, p2 = params.copy(), params.copy()
-            p1.weights[m][idx] += h
-            p2.weights[m][idx] -= h
-            grads.weights[m][idx] = (loss_at(p1) - loss_at(p2)) / (2 * h)
-        for idx in np.ndindex(params.biases[m].shape):
-            p1, p2 = params.copy(), params.copy()
-            p1.biases[m][idx] += h
-            p2.biases[m][idx] -= h
-            grads.biases[m][idx] = (loss_at(p1) - loss_at(p2)) / (2 * h)
-    p1, p2 = params.copy(), params.copy()
-    p1.beta0 += h
-    p2.beta0 -= h
-    grads.beta0 = (loss_at(p1) - loss_at(p2)) / (2 * h)
+    for i in range(params.flat.size):
+        p1, p2 = params.copy(), params.copy()
+        p1.flat[i] += h
+        p2.flat[i] -= h
+        grads.flat[i] = (loss_at(p1) - loss_at(p2)) / (2 * h)
     return grads
 
 
@@ -223,10 +215,7 @@ class TestParamGradients:
         loss, grads = loss_and_param_grads(params, spec, X, y)
         eps = 1e-3
         stepped = params.copy()
-        for m in range(spec.depth):
-            stepped.weights[m] -= eps * grads.weights[m]
-            stepped.biases[m] -= eps * grads.biases[m]
-        stepped.beta0 -= eps * grads.beta0
+        stepped.flat -= eps * grads.flat
         new_loss, _ = loss_and_param_grads(stepped, spec, X, y)
         assert new_loss < loss
 
@@ -259,8 +248,8 @@ class TestInputJacobian:
         rng = rng_stream(10, "lin")
         spec = ModelSpec(q=4)
         params = zero_params(spec)
-        params.weights[0] = rng.standard_normal((4, 4))
-        params.biases[0] = rng.standard_normal(4)
+        params.weights[0][:] = rng.standard_normal((4, 4))
+        params.biases[0][:] = rng.standard_normal(4)
         J = input_jacobian(params, spec, rng.standard_normal(4))
         assert_allclose(J, params.weights[0].T, atol=1e-14)
 
@@ -310,3 +299,103 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ConfigError, match="not a model file"):
             load_model(path)
+
+    def saved_doc(self, tmp_path):
+        spec = ModelSpec(q=3, hidden_dims=(4,))
+        path = tmp_path / "model.json"
+        save_model(path, spec, init_params(spec, rng_stream(14, "ser")))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("block,key", [("params", "weights"), ("params", "biases"),
+                                           ("params", "beta0"), ("spec", "q"),
+                                           ("spec", "hidden_dims")])
+    def test_missing_key_names_file_and_key(self, tmp_path, block, key):
+        path, doc = self.saved_doc(tmp_path)
+        del doc[block][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"model\.json: missing key '{key}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", ["bias", "weight", "beta0"])
+    def test_rejects_wrong_shapes(self, tmp_path, corrupt):
+        # Each replacement has the right size to broadcast or reshape silently.
+        path, doc = self.saved_doc(tmp_path)
+        p = doc["params"]
+        if corrupt == "bias":
+            p["biases"][0] = p["beta0"]  # shape [1] for a width-4 layer
+        elif corrupt == "weight":
+            p["weights"][0]["shape"] = p["weights"][0]["shape"][::-1]  # (4, 3) for (3, 4)
+        else:
+            p["beta0"] = p["biases"][1]  # three output biases
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="do not match spec"):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", ["truncated-buffer", "weights-not-a-list"])
+    def test_rejects_malformed_block(self, tmp_path, corrupt):
+        path, doc = self.saved_doc(tmp_path)
+        if corrupt == "truncated-buffer":
+            doc["params"]["weights"][0]["data"] = "AAAA"  # 3 bytes, not a float64 buffer
+        else:
+            doc["params"]["weights"] = 5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"model\.json: malformed model file"):
+            load_model(path)
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        spec = ModelSpec(q=2)
+        params = zero_params(spec)
+        params.biases[0][1] = np.nan
+        path = tmp_path / "model.json"
+        save_model(path, spec, params)
+        with pytest.raises(NumericError, match="non-finite"):
+            load_model(path)
+
+
+widths = st.integers(min_value=1, max_value=6)
+layer_dims = st.builds(lambda q, hidden: (q, *hidden, q), widths, st.lists(widths, max_size=3))
+
+
+class TestFlatLayout:
+    @settings(max_examples=50, deadline=None)
+    @given(layer_dims)
+    def test_views_alias_flat(self, dims):
+        params = Params(dims)
+        pairs = list(zip(dims[:-1], dims[1:]))
+        assert params.flat.size == sum(a * b + b for a, b in pairs) + 1
+        assert [w.shape for w in params.weights] == pairs
+        assert [b.shape for b in params.biases] == [(b,) for _, b in pairs]
+        views = [*params.weights, *params.biases]
+        for k, view in enumerate(views):
+            assert np.shares_memory(view, params.flat)
+            view[...] = k + 1.0
+        params.beta0 = -1.0
+        # The views tile flat in order: weights, biases, then beta0.
+        expected = np.concatenate([np.full(v.size, k + 1.0) for k, v in enumerate(views)]
+                                  + [[-1.0]])
+        assert np.array_equal(params.flat, expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(layer_dims, st.integers(min_value=0, max_value=2**31))
+    def test_copy_is_independent(self, dims, seed):
+        params = Params(dims)
+        params.flat[:] = rng_stream(seed, "copy").standard_normal(params.flat.size)
+        before = params.flat.copy()
+        dup = params.copy()
+        assert np.array_equal(dup.flat, before)
+        for view in (*dup.weights, *dup.biases):
+            view += 1.0
+        dup.beta0 += 1.0
+        assert np.array_equal(params.flat, before)
+        assert not np.shares_memory(dup.flat, params.flat)
+
+    @settings(max_examples=25, deadline=None)
+    @given(layer_dims, st.integers(min_value=0, max_value=2**31))
+    def test_save_load_restores_flat_bit_exactly(self, tmp_path_factory, dims, seed):
+        spec = ModelSpec(q=dims[0], hidden_dims=dims[1:-1])
+        params = Params(spec.layer_dims)
+        params.flat[:] = rng_stream(seed, "flat-ser").standard_normal(params.flat.size)
+        path = tmp_path_factory.mktemp("ser") / "model.json"
+        save_model(path, spec, params)
+        _, loaded, _ = load_model(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()

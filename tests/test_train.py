@@ -16,7 +16,7 @@ from localglmnet import (
 )
 from localglmnet.errors import ConfigError, NumericError
 from localglmnet.model import Params
-from localglmnet.train import Moments, split_indices
+from localglmnet.train import split_indices
 
 
 def make_dataset(n, q, seed=0, noise=0.1):
@@ -29,7 +29,13 @@ def make_dataset(n, q, seed=0, noise=0.1):
 
 
 def scalar_params(value=0.0):
-    return Params(weights=[np.array([[value]])], biases=[np.array([0.0])], beta0=0.0)
+    params = Params((1, 1))
+    params.weights[0][0, 0] = value
+    return params
+
+
+def zero_moments(params):
+    return np.zeros_like(params.flat), np.zeros_like(params.flat)
 
 
 class TestSplit:
@@ -68,31 +74,28 @@ class TestNadamStep:
 
     def test_zero_gradient_leaves_fresh_params(self):
         params = scalar_params(1.0)
-        grads = Params(weights=[np.zeros((1, 1))], biases=[np.zeros(1)], beta0=0.0)
-        new, _ = nadam_step(params, grads, Moments.zeros_like(params), t=1,
-                            config=self.config())
-        assert new.weights[0][0, 0] == 1.0
+        nadam_step(params, scalar_params(), *zero_moments(params), t=1, config=self.config())
+        assert params.weights[0][0, 0] == 1.0
 
     def test_zero_gradient_decays_moments(self):
         params = scalar_params(1.0)
-        grads = Params(weights=[np.zeros((1, 1))], biases=[np.zeros(1)], beta0=0.0)
-        moments = Moments.zeros_like(params)
-        moments.m.weights[0][:] = 0.5
-        moments.v.weights[0][:] = 0.5
-        _, mom = nadam_step(params, grads, moments, t=1, config=self.config())
-        assert mom.m.weights[0][0, 0] == pytest.approx(0.45)  # decays by beta1
-        assert mom.v.weights[0][0, 0] == pytest.approx(0.4995)  # decays by beta2
+        m, v = zero_moments(params)
+        m[:] = 0.5
+        v[:] = 0.5
+        nadam_step(params, scalar_params(), m, v, t=1, config=self.config())
+        assert m == pytest.approx(0.45)  # decays by beta1
+        assert v == pytest.approx(0.4995)  # decays by beta2
 
     def test_constant_gradient_step_approaches_lr(self):
         # With g == 1 held fixed, the Adam-family step magnitude tends to lr.
         cfg = self.config(learning_rate=0.002)
         params = scalar_params()
-        grads = Params(weights=[np.ones((1, 1))], biases=[np.zeros(1)], beta0=0.0)
-        moments = Moments.zeros_like(params)
+        grads = scalar_params(1.0)
+        m, v = zero_moments(params)
         prev = params.weights[0][0, 0]
         step = None
         for t in range(1, 2001):
-            params, moments = nadam_step(params, grads, moments, t, cfg)
+            nadam_step(params, grads, m, v, t, cfg)
             step = prev - params.weights[0][0, 0]
             prev = params.weights[0][0, 0]
         assert step == pytest.approx(cfg.learning_rate, rel=1e-3)
@@ -100,27 +103,26 @@ class TestNadamStep:
     def test_per_coordinate_scale_invariance(self):
         # Gradients (c, 2c) give equal-magnitude steps asymptotically.
         cfg = self.config()
-        params = Params(weights=[np.zeros((1, 2))], biases=[np.zeros(2)], beta0=0.0)
-        grads = Params(weights=[np.array([[0.3, 0.6]])], biases=[np.zeros(2)], beta0=0.0)
-        moments = Moments.zeros_like(params)
+        params = Params((1, 2))
+        grads = Params((1, 2))
+        grads.weights[0][:] = [[0.3, 0.6]]
+        m, v = zero_moments(params)
         prev = params.weights[0].copy()
         for t in range(1, 2001):
-            params, moments = nadam_step(params, grads, moments, t, cfg)
+            nadam_step(params, grads, m, v, t, cfg)
             steps = prev - params.weights[0]
             prev = params.weights[0].copy()
         assert steps[0, 0] == pytest.approx(steps[0, 1], rel=1e-3)
 
     def test_rejects_nonfinite_gradient(self):
         params = scalar_params()
-        grads = Params(weights=[np.array([[np.nan]])], biases=[np.zeros(1)], beta0=0.0)
         with pytest.raises(NumericError, match="non-finite"):
-            nadam_step(params, grads, Moments.zeros_like(params), 1, self.config())
+            nadam_step(params, scalar_params(np.nan), *zero_moments(params), 1, self.config())
 
     def test_rejects_bad_step_index(self):
         params = scalar_params()
-        grads = Params(weights=[np.zeros((1, 1))], biases=[np.zeros(1)], beta0=0.0)
         with pytest.raises(ValueError):
-            nadam_step(params, grads, Moments.zeros_like(params), 0, self.config())
+            nadam_step(params, scalar_params(), *zero_moments(params), 0, self.config())
 
 
 class TestFit:
