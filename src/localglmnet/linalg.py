@@ -42,7 +42,7 @@ def sample_mvn(
     Raises:
         ValueError: if sigma is not square or not symmetric (the LAPACK
             factorization would silently read only its lower triangle).
-        NumericError: if sigma is not positive definite.
+        NumericError: if sigma is not positive definite, naming the failing pivot.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
@@ -54,7 +54,16 @@ def sample_mvn(
         raise ValueError("matrix is not symmetric")
     try:
         L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Cholesky factorization failed: {exc}") from None
+    except np.linalg.LinAlgError:
+        raise NumericError(f"sigma is not positive definite (pivot {_failed_pivot(a)})") from None
     z = rng.standard_normal((n, mean.shape[0]))
     return mean + z @ L.T
+
+
+def _failed_pivot(a: np.ndarray) -> int:
+    """Index of the first leading block of a that has no Cholesky factor."""
+    for j in range(len(a)):
+        try:
+            np.linalg.cholesky(a[: j + 1, : j + 1])
+        except np.linalg.LinAlgError:
+            return j

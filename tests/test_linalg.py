@@ -5,8 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from localglmnet import rng_stream, sample_mvn
+from localglmnet import interval, rng_stream, sample_mvn
 from localglmnet.errors import NumericError
+
+
+def bisect_quantile(p, lo=-12.0, hi=12.0):
+    """Independent inverse-CDF oracle: bisection on the erf-based CDF."""
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def quantile(p):
+    """Standard normal quantile at p, read off a bound of interval(2 min(p, 1 - p), 1)."""
+    lo, hi = interval(2.0 * min(p, 1.0 - p), 1.0)
+    return lo if p < 0.5 else hi
 
 
 def draws(sigma, n, seed=0, mean=None):
@@ -33,6 +52,11 @@ class TestCholesky:
         X, Z = draws([[4.0]], 20)
         assert_allclose(X, 2.0 * Z)
 
+    def test_failure_names_pivot(self):
+        sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        with pytest.raises(NumericError, match="pivot 1"):
+            draws(sigma, 5)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             draws([[1.0, 0.2], [0.3, 1.0]], 5)
@@ -51,6 +75,27 @@ class TestCholesky:
         L = np.linalg.lstsq(Z, X, rcond=None)[0].T  # recover the factor from the draws
         assert np.abs(np.triu(L, 1)).max(initial=0.0) < 1e-10 * np.abs(L).max()
         assert np.abs(L @ L.T - sigma).max() < 1e-10 * np.abs(sigma).max()
+
+
+class TestQuantile:
+    """The normal quantile behind interval (scipy.special.ndtri)."""
+
+    def test_tail_value(self):
+        # Half-width multiplier used by the 0.1% selection test.
+        assert quantile(0.0005) == pytest.approx(-3.2905, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "p", [1e-8, 1e-5, 0.02425, 0.15, 0.245, 0.97575, 1 - 1e-5, 1 - 1e-8])
+    def test_accuracy_grid(self, p):
+        assert abs(quantile(p) - bisect_quantile(p)) < 1e-6
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_domain(self, p):
+        with pytest.raises(ValueError):
+            quantile(p)
+
+    def test_symmetry(self):
+        assert quantile(0.2) == pytest.approx(-quantile(0.8), abs=1e-12)
 
 
 class TestRngStream:
