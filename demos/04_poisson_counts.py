@@ -1,9 +1,9 @@
 """Count responses with exposures: the Poisson pathway.
 
 Claim-count style data: each instance has an exposure v in (0, 1] and a
-count response. The model works on the log link with the exposure as a
-multiplicative offset, mu = v * exp(beta0 + <beta(x), x>), and both
-training and evaluation use the mean Poisson deviance.
+count response. The Poisson family brings its canonical log link, with
+the exposure as a multiplicative offset, mu = v * exp(beta0 + <beta(x), x>),
+and both training and evaluation use the mean Poisson deviance.
 """
 
 import numpy as np
@@ -28,13 +28,12 @@ null = lg.fit_null(ds.y, ds.v, lg.get_family("poisson"))
 null_dev = lg.poisson_deviance(ds.y, ds.v * null, ds.v)
 print(f"null frequency {null:.4f}, null deviance {null_dev:.4f}")
 
-glm = lg.fit_glm(ds.X, ds.y, ds.v, lg.get_family("poisson"), lg.get_link("log"),
-                 column_names=names)
-glm_mu = ds.v * np.exp(glm.beta0 + ds.X @ glm.beta)
+glm = lg.fit_glm(ds.X, ds.y, ds.v, lg.get_family("poisson"), column_names=names)
+glm_mu = glm.predict(ds.X, ds.v)
 print(f"GLM deviance {lg.poisson_deviance(ds.y, glm_mu, ds.v):.4f} "
       f"(slopes {np.round(glm.beta, 3).tolist()})")
 
-spec = lg.ModelSpec(q=4, hidden_dims=(15, 10), family="poisson", link="log")
+spec = lg.ModelSpec(q=4, hidden_dims=(15, 10), family="poisson")  # log link
 params, history = lg.fit(ds, spec, lg.TrainConfig(batch_size=3000, max_epochs=120,
                                                   seed=2))
 print(f"LocalGLMnet deviance {lg.evaluate_loss(params, spec, ds):.4f} "

@@ -32,7 +32,6 @@ from .families import (
     fit_glm,
     fit_null,
     get_family,
-    get_link,
     mse_loss,
     poisson_deviance,
 )
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "NumericError",
     "rng_stream", "sample_mvn",
-    "Gaussian", "Poisson", "get_family", "get_link",
+    "Gaussian", "Poisson", "get_family",
     "mse_loss", "poisson_deviance", "fit_null", "fit_glm",
     "ModelSpec", "Params", "ForwardTrace", "init_params", "forward",
     "attention", "contributions", "predict_mu", "loss_and_param_grads",

@@ -22,10 +22,10 @@ import numpy as np
 from . import data as data_mod
 from . import svg
 from .errors import ConfigError, DataError, NumericError
-from .families import fit_glm, fit_null, get_family, get_link
+from .families import fit_glm, fit_null, get_family
 from .interpret import interaction_profiles, selection_report, variable_importance
 from .linalg import rng_stream
-from .model import ModelSpec, attention, contributions, forward, load_model, save_model
+from .model import ModelSpec, attention, load_model, save_model
 from .train import TrainConfig, evaluate_loss, fit, load_train_config
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -61,8 +61,7 @@ def _load_model_spec(path, q):
         if kv.get("activations") else None
     try:
         return ModelSpec(q=q, hidden_dims=hidden, activations=acts,
-                         family=kv.get("family", "gaussian"),
-                         link=kv.get("link", "identity"))
+                         family=kv.get("family", "gaussian"), link=kv.get("link"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -117,42 +116,35 @@ def _fit_pipeline(args, schema):
     learn_raw, test_raw, learn, test, std_params = _prepare_datasets(args, schema, config.seed)
     spec = _load_model_spec(args.spec, q=learn.q)
     family = get_family(spec.family)
-    link = get_link(spec.link)
+    if family.name == "poisson":
+        for path, ds in ((args.learn, learn_raw), (args.test, test_raw)):
+            if ds is not None and np.any(ds.y < 0.0):
+                bad = int(np.argmax(ds.y < 0.0))
+                raise DataError(f"{path}: row {bad + 1}, column {schema.response!r}: "
+                                f"Poisson response must be >= 0, got {ds.y[bad]!r}")
+
+    def row(name, loss_of, datasets=(learn, test)):
+        """Loss-table row: in-sample, then out-of-sample when a test set is given."""
+        return [name] + [repr(loss_of(ds)) for ds in datasets if ds is not None]
 
     rows = []
     if args.synthetic_truth:
         if learn_raw.feature_names[:8] != [f"x{j}" for j in range(1, 9)]:
             raise ConfigError("--synthetic-truth needs feature columns x1..x8")
-        mu_l = data_mod.true_mu(learn_raw.X[:, :8])
-        row = ["true", repr(family.loss(learn_raw.y, mu_l, learn_raw.v))]
-        if test_raw is not None:
-            mu_t = data_mod.true_mu(test_raw.X[:, :8])
-            row.append(repr(family.loss(test_raw.y, mu_t, test_raw.v)))
-        rows.append(row)
+        rows.append(row("true", lambda ds: family.loss(ds.y, data_mod.true_mu(ds.X[:, :8]), ds.v),
+                        (learn_raw, test_raw)))
 
     null_value = fit_null(learn.y, learn.v, family)
-    null_mu = (learn.v * null_value) if family.uses_exposure else np.full(learn.n, null_value)
-    row = ["null", repr(family.loss(learn.y, null_mu, learn.v))]
-    if test is not None:
-        null_mu_t = (test.v * null_value) if family.uses_exposure else np.full(test.n, null_value)
-        row.append(repr(family.loss(test.y, null_mu_t, test.v)))
-    rows.append(row)
+    rows.append(row("null", lambda ds: family.loss(
+        ds.y, ds.v * null_value if family.uses_exposure else np.full(ds.n, null_value), ds.v)))
 
     Xg, glm_names = _glm_design(learn)
-    glm = fit_glm(Xg, learn.y, learn.v, family, link, column_names=glm_names)
-    glm_mu = link.inv(glm.linear_predictor(Xg, learn.v, link))
-    row = ["glm", repr(family.loss(learn.y, glm_mu, learn.v))]
-    if test is not None:
-        Xg_t, _ = _glm_design(test)
-        glm_mu_t = link.inv(glm.linear_predictor(Xg_t, test.v, link))
-        row.append(repr(family.loss(test.y, glm_mu_t, test.v)))
-    rows.append(row)
+    glm = fit_glm(Xg, learn.y, learn.v, family, column_names=glm_names)
+    rows.append(row("glm", lambda ds: family.loss(ds.y, glm.predict(_glm_design(ds)[0], ds.v),
+                                                  ds.v)))
 
     params, history = fit(learn, spec, config)
-    row = ["localglmnet", repr(evaluate_loss(params, spec, learn))]
-    if test is not None:
-        row.append(repr(evaluate_loss(params, spec, test)))
-    rows.append(row)
+    rows.append(row("localglmnet", lambda ds: evaluate_loss(params, spec, ds)))
 
     header = ["model", "in_sample"] + (["out_of_sample"] if test is not None else [])
     if test is None:
@@ -206,7 +198,7 @@ def cmd_report(args):
     dataset = _report_dataset(args, preprocess)
 
     beta = attention(params, spec, dataset.X)
-    contrib = contributions(params, spec, dataset.X)
+    contrib = beta * dataset.X
     std_cols = [j for j, k in enumerate(dataset.feature_kinds)
                 if k in data_mod.STANDARDIZED_KINDS]
     std_names = [dataset.feature_names[j] for j in std_cols]

@@ -195,11 +195,6 @@ class Dataset:
                        feature_kinds=list(self.feature_kinds),
                        groups={k: list(v) for k, v in self.groups.items()})
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.X[:, self.feature_names.index(name)]
-        except ValueError:
-            raise KeyError(f"no feature column named {name!r}") from None
 
 def one_hot(values, levels=None):
     """Indicator matrix for a categorical column, one column per level.

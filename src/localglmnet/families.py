@@ -1,10 +1,13 @@
-"""Exponential-dispersion losses, link functions, and GLM baselines.
+"""Exponential-dispersion families, their losses, and GLM baselines.
 
 Two response families are supported: Gaussian responses scored by mean
 squared error, and Poisson counts with exposures scored by mean Poisson
 deviance. Both losses are strictly consistent for the mean, nonnegative,
-and zero at a saturated fit. The GLM fit uses iteratively reweighted
-least squares with step-halving.
+and zero at a saturated fit. Each family owns its canonical link: ``link``
+names it, ``g`` maps the mean to the linear predictor, ``inv`` maps back,
+``variance`` is V(mu), and ``eta_max`` bounds the linear predictor the
+network's mean follows. The GLM fit uses iteratively reweighted least
+squares with step-halving.
 """
 
 from dataclasses import dataclass
@@ -15,12 +18,9 @@ import scipy.linalg
 from .errors import NumericError
 
 __all__ = [
-    "IdentityLink",
-    "LogLink",
     "Gaussian",
     "Poisson",
     "get_family",
-    "get_link",
     "mse_loss",
     "poisson_deviance",
     "fit_null",
@@ -29,46 +29,25 @@ __all__ = [
 ]
 
 
-class IdentityLink:
-    name = "identity"
-
-    def g(self, mu):
-        return np.asarray(mu, dtype=float)
-
-    def inv(self, eta):
-        return np.asarray(eta, dtype=float)
-
-    def inv_deriv(self, eta):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-
-class LogLink:
-    name = "log"
-
-    def g(self, mu):
-        return np.log(mu)
-
-    def inv(self, eta):
-        return np.exp(eta)
-
-    def inv_deriv(self, eta):
-        return np.exp(eta)
-
-
 class Gaussian:
     """Gaussian family: quadratic cumulant, identity canonical link, MSE loss."""
 
     name = "gaussian"
-    canonical_link = IdentityLink()
+    link = "identity"
     uses_exposure = False
+    eta_max = np.inf
+
+    def g(self, mu):
+        return mu
+
+    def inv(self, eta):
+        return eta
+
+    def variance(self, mu):
+        return np.ones_like(mu)
 
     def loss(self, y, mu, v=None):
         return mse_loss(y, mu)
-
-    def dloss_dmu(self, y, mu):
-        # d/dmu of (1/n) sum (y - mu)^2
-        y = np.asarray(y, dtype=float)
-        return 2.0 * (mu - y) / y.shape[0]
 
 
 class Poisson:
@@ -79,20 +58,24 @@ class Poisson:
     """
 
     name = "poisson"
-    canonical_link = LogLink()
+    link = "log"
     uses_exposure = True
+    eta_max = 30.0  # the network clamps eta here before exp, against overflow
+
+    def g(self, mu):
+        return np.log(mu)
+
+    def inv(self, eta):
+        return np.exp(eta)
+
+    def variance(self, mu):
+        return mu
 
     def loss(self, y, mu, v=None):
         return poisson_deviance(y, mu, v)
 
-    def dloss_dmu(self, y, mu):
-        # d/dmu of (2/n) sum (mu - y - y log(mu/y))
-        y = np.asarray(y, dtype=float)
-        return 2.0 * (1.0 - y / mu) / y.shape[0]
-
 
 _FAMILIES = {"gaussian": Gaussian(), "poisson": Poisson()}
-_LINKS = {"identity": IdentityLink(), "log": LogLink()}
 
 
 def get_family(name: str):
@@ -100,13 +83,6 @@ def get_family(name: str):
         return _FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}") from None
-
-
-def get_link(name: str):
-    try:
-        return _LINKS[name]
-    except KeyError:
-        raise ValueError(f"unknown link {name!r}; choose from {sorted(_LINKS)}") from None
 
 
 def mse_loss(y: np.ndarray, mu: np.ndarray) -> float:
@@ -135,6 +111,8 @@ def poisson_deviance(y: np.ndarray, mu: np.ndarray, v: np.ndarray | None = None)
         raise ValueError("need at least one observation")
     if np.any(mu <= 0.0):
         raise ValueError("Poisson deviance requires mu > 0")
+    if np.any(y < 0.0):
+        raise ValueError("Poisson deviance requires y >= 0")
     if v is not None and np.any(np.asarray(v, dtype=float) <= 0.0):
         raise ValueError("exposures must be positive")
     terms = mu - y
@@ -164,19 +142,20 @@ def fit_null(y: np.ndarray, v: np.ndarray | None = None, family=None) -> float:
 
 @dataclass
 class GlmFit:
-    """Fitted GLM: intercept, coefficient vector, and convergence info."""
+    """Fitted GLM: intercept, coefficient vector, convergence info, family."""
 
     beta0: float
     beta: np.ndarray
     deviance: float
     n_iter: int
+    family: object
 
-    def linear_predictor(self, X: np.ndarray, v: np.ndarray | None = None,
-                         link=None) -> np.ndarray:
+    def predict(self, X: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        """Response-scale mean; exposure enters as the offset log(v)."""
         eta = self.beta0 + np.asarray(X, dtype=float) @ self.beta
-        if v is not None and link is not None and link.name == "log":
+        if v is not None and self.family.uses_exposure:
             eta = eta + np.log(np.asarray(v, dtype=float))
-        return eta
+        return self.family.inv(eta)
 
 
 def _check_full_rank(X: np.ndarray, column_names) -> None:
@@ -199,14 +178,15 @@ def fit_glm(
     y: np.ndarray,
     v: np.ndarray | None = None,
     family=None,
-    link=None,
     column_names=None,
     max_iter: int = 100,
     tol: float = 1e-10,
 ) -> GlmFit:
     """Fit a GLM by IRLS with step-halving.
 
-    Exposure is treated as an offset log(v) under the log link. Converges
+    The link is the family's canonical one, so the IRLS weight is the
+    variance function V(mu). Exposure is treated as an offset log(v) when
+    the family uses one. Converges
     when the relative deviance change drops below ``tol``; rank-deficient
     designs raise :class:`NumericError` naming the collinear columns.
     """
@@ -214,7 +194,6 @@ def fit_glm(
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     family = family or Gaussian()
-    link = link or family.canonical_link
     v = np.ones(n) if v is None else np.asarray(v, dtype=float)
 
     design = np.column_stack([np.ones(n), X])
@@ -223,18 +202,18 @@ def fit_glm(
 
     # Null start: intercept at the link-scale null value, slopes zero.
     coef = np.zeros(design.shape[1])
-    coef[0] = float(link.g(fit_null(y, v, family)))
+    coef[0] = float(family.g(fit_null(y, v, family)))
 
     def mean_of(c):
-        return link.inv(design @ c + offset)
+        return family.inv(design @ c + offset)
 
     dev = family.loss(y, mean_of(coef), v)
     n_iter = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n_iter in range(1, max_iter + 1):
             eta = design @ coef + offset
-            mu = link.inv(eta)
-            w = link.inv_deriv(eta)  # canonical links: W = (g^-1)'(eta)
+            mu = family.inv(eta)
+            w = family.variance(mu)
             z = (eta - offset) + (y - mu) / np.maximum(w, 1e-300)
             sw = np.sqrt(w)
             new_coef, *_ = np.linalg.lstsq(design * sw[:, None], z * sw, rcond=None)
@@ -254,4 +233,5 @@ def fit_glm(
             prev, dev = dev, float(new_dev if np.isfinite(new_dev) else dev)
             if abs(prev - dev) <= tol * max(1.0, abs(prev)):
                 break
-    return GlmFit(beta0=float(coef[0]), beta=coef[1:].copy(), deviance=dev, n_iter=n_iter)
+    return GlmFit(beta0=float(coef[0]), beta=coef[1:].copy(), deviance=dev, n_iter=n_iter,
+                  family=family)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .families import get_family, get_link
+from .families import get_family
 
 __all__ = [
     "ModelSpec",
@@ -36,28 +36,26 @@ __all__ = [
     "load_model",
 ]
 
-# Linear predictor is clamped to this window before exponentiation under
-# the log link; prevents overflow early in training.
-ETA_CLAMP = 30.0
-
 _ACTIVATIONS = ("tanh", "linear")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: widths, activations, response family and link.
+    """Architecture description: widths, activations and response family.
 
     ``hidden_dims`` are the widths of the intermediate tower layers; the
     tower input and output are both q. ``activations`` has one tag per
     layer (default: tanh on every hidden layer, linear on the output
     layer), restricted to differentiable choices so input gradients exist.
+    ``link`` is the family's canonical link (identity for gaussian, log
+    for poisson) and may be left out; any other link raises ValueError.
     """
 
     q: int
     hidden_dims: tuple = ()
     activations: tuple = None
     family: str = "gaussian"
-    link: str = "identity"
+    link: str = None
 
     def __post_init__(self):
         if self.q < 1:
@@ -76,8 +74,11 @@ class ModelSpec:
             if a not in _ACTIVATIONS:
                 raise ValueError(f"unsupported activation {a!r}; choose from {_ACTIVATIONS}")
         object.__setattr__(self, "activations", acts)
-        get_family(self.family)
-        get_link(self.link)
+        canonical = get_family(self.family).link
+        if self.link not in (None, canonical):
+            raise ValueError(f"family {self.family!r} takes only its canonical link "
+                             f"{canonical!r}, got link {self.link!r}")
+        object.__setattr__(self, "link", canonical)
 
     @property
     def layer_dims(self) -> tuple:
@@ -135,8 +136,9 @@ class ForwardTrace:
 
     ``activations[0]`` is the input; ``attentions`` is the tower output
     beta(x); ``eta`` is beta0 + row-sums of attentions * x; ``mu`` is the
-    mean on the response scale (exposure-scaled under the log link).
-    ``n_clamped`` counts linear-predictor entries hit by the overflow clamp.
+    mean on the response scale (exposure-scaled when the family uses one).
+    ``n_clamped`` counts entries of eta outside the family's ``eta_max``,
+    where mu is held at its clamped value.
     """
 
     pre_activations: list
@@ -200,14 +202,10 @@ def forward(params: Params, spec: ModelSpec, X: np.ndarray,
     X = acts[0]
     beta = acts[-1]
     eta = params.beta0 + np.sum(beta * X, axis=1)
-    link = get_link(spec.link)
-    n_clamped = 0
-    if spec.link == "log":
-        n_clamped = int(np.sum(np.abs(eta) > ETA_CLAMP))
-        mu = link.inv(np.clip(eta, -ETA_CLAMP, ETA_CLAMP))
-    else:
-        mu = link.inv(eta)
-    if get_family(spec.family).uses_exposure and v is not None:
+    family = get_family(spec.family)
+    n_clamped = int(np.sum(np.abs(eta) > family.eta_max))
+    mu = family.inv(np.clip(eta, -family.eta_max, family.eta_max))
+    if family.uses_exposure and v is not None:
         mu = mu * np.asarray(v, dtype=float)
     return ForwardTrace(pre_activations=pre, activations=acts, attentions=beta,
                         eta=eta, mu=mu, n_clamped=n_clamped)
@@ -247,17 +245,10 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     trace = forward(params, spec, X, v)
     loss = family.loss(y, trace.mu, v)
 
-    # Chain rule dL/deta = dL/dmu * dmu/deta; the clamp zeroes the factor
-    # outside its window, and exposure scales it when the family uses one.
-    dmu = family.dloss_dmu(y, trace.mu)
-    if spec.link == "log":
-        in_range = np.abs(trace.eta) <= ETA_CLAMP
-        dmu_deta = np.where(in_range, np.exp(np.clip(trace.eta, -ETA_CLAMP, ETA_CLAMP)), 0.0)
-    else:
-        dmu_deta = np.ones_like(trace.eta)
-    if family.uses_exposure and v is not None:
-        dmu_deta = dmu_deta * np.asarray(v, dtype=float)
-    deta = dmu * dmu_deta
+    # Under a canonical link dL/deta is the score 2 (mu - y) / n, exposure
+    # included. Outside the clamp window mu does not move with eta.
+    deta = 2.0 * (trace.mu - y) / y.shape[0]
+    deta[np.abs(trace.eta) > family.eta_max] = 0.0
 
     grads = Params(spec.layer_dims)
     grads.beta0 = np.sum(deta)

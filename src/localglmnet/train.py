@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .families import get_family, get_link, fit_null
+from .families import get_family, fit_null
 from .linalg import rng_stream
 from .model import ModelSpec, Params, init_params, forward, loss_and_param_grads
 
@@ -44,6 +44,15 @@ class TrainConfig:
     patience: int | None = None  # optional early abort; default scans all epochs
 
     def __post_init__(self):
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if self.patience is not None and self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.batch_size < 1:
@@ -160,10 +169,9 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
     train_set, val_set = split_learn(dataset, config.val_fraction,
                                      rng_stream(config.seed, "split"))
     family = get_family(spec.family)
-    link = get_link(spec.link)
     null_value = fit_null(train_set.y, train_set.v, family)
     params = init_params(spec, rng_stream(config.seed, "init"),
-                         output_bias=float(link.g(null_value)))
+                         output_bias=float(family.g(null_value)))
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     shuffle_rng = rng_stream(config.seed, "shuffle")
 

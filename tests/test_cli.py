@@ -101,6 +101,49 @@ class TestFit:
         values = {ln.split(",")[0]: float(ln.split(",")[1]) for ln in lines[1:]}
         assert values["glm"] <= values["null"]
 
+    def write_counts(self, tmp_path, name="counts.csv", negative_row=None, link_line=""):
+        rng = np.random.default_rng(4)
+        n = 300
+        x = rng.standard_normal(n)
+        v = rng.uniform(0.5, 1.0, n)
+        y = rng.poisson(v * np.exp(0.2 + 0.4 * x)).astype(float)
+        if negative_row is not None:
+            y[negative_row - 1] = -2.0
+        csv = tmp_path / name
+        csv.write_text("x1,y,v\n" + "".join(
+            f"{float(a)!r},{float(b)!r},{float(c)!r}\n" for a, b, c in zip(x, y, v)))
+        (tmp_path / "pschema.txt").write_text("x1: continuous\ny: response\nv: exposure\n")
+        (tmp_path / "pmodel.cfg").write_text(f"hidden_dims = 4\nfamily = poisson\n{link_line}")
+        return csv
+
+    def fit_counts(self, workdir, tmp_path, learn, test=None):
+        return run("fit", "--learn", learn, *(("--test", test) if test else ()),
+                   "--schema", tmp_path / "pschema.txt", "--spec", tmp_path / "pmodel.cfg",
+                   "--train-config", workdir / "train.cfg", "--out-dir", tmp_path / "pfit",
+                   "--seed", 2)
+
+    def test_poisson_link_defaults_to_log(self, workdir, tmp_path):
+        csv = self.write_counts(tmp_path)
+        assert self.fit_counts(workdir, tmp_path, csv) == 0
+        doc = json.loads((tmp_path / "pfit" / "model.json").read_text())
+        assert doc["spec"]["link"] == "log"
+
+    def test_non_canonical_link_is_config_error(self, workdir, tmp_path, capsys):
+        csv = self.write_counts(tmp_path, link_line="link = identity\n")
+        assert self.fit_counts(workdir, tmp_path, csv) == 2
+        err = capsys.readouterr().err
+        assert "pmodel.cfg" in err and "'poisson'" in err and "'identity'" in err
+
+    @pytest.mark.parametrize("where", ["learn", "test"])
+    def test_negative_poisson_response_is_data_error(self, workdir, tmp_path, capsys, where):
+        good = self.write_counts(tmp_path)
+        bad = self.write_counts(tmp_path, name="bad.csv", negative_row=5)
+        learn, test = (bad, good) if where == "learn" else (good, bad)
+        assert self.fit_counts(workdir, tmp_path, learn, test) == 3
+        err = capsys.readouterr().err
+        assert "bad.csv: row 5, column 'y'" in err
+        assert not (tmp_path / "pfit" / "losses.csv").exists()
+
     def test_determinism_full_pipeline(self, workdir):
         _, out1 = fit_small(workdir, out="d1")
         _, out2 = fit_small(workdir, out="d2")

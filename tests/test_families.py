@@ -8,7 +8,6 @@ from localglmnet import (
     fit_glm,
     fit_null,
     get_family,
-    get_link,
     mse_loss,
     poisson_deviance,
     rng_stream,
@@ -46,6 +45,10 @@ class TestPoissonDeviance:
     def test_requires_positive_mu(self):
         with pytest.raises(ValueError, match="mu > 0"):
             poisson_deviance(np.array([1.0]), np.array([0.0]))
+
+    def test_requires_nonnegative_y(self):
+        with pytest.raises(ValueError, match="y >= 0"):
+            poisson_deviance(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
 
     def test_permutation_invariant(self):
         rng = rng_stream(0, "perm")
@@ -124,8 +127,9 @@ class TestFitGlm:
         X = rng.standard_normal((400, 3))
         v = rng.uniform(0.2, 1.0, 400)
         y = rng.poisson(v * np.exp(0.2 + X @ np.array([0.4, -0.3, 0.1]))).astype(float)
-        fit = fit_glm(X, y, v, get_family("poisson"), get_link("log"))
+        fit = fit_glm(X, y, v, get_family("poisson"))
         mu = v * np.exp(fit.beta0 + X @ fit.beta)
+        assert_allclose(fit.predict(X, v), mu, rtol=1e-14)
         grad = 2.0 * np.column_stack([np.ones(400), X]).T @ (mu - y) / 400
         assert np.abs(grad).max() < 1e-8
 
@@ -135,9 +139,9 @@ class TestFitGlm:
         X = rng.standard_normal((300, 2))
         v = rng.uniform(0.5, 1.0, 300)
         y = rng.poisson(v * np.exp(0.1 + X @ np.array([0.3, -0.2]))).astype(float)
-        fam, link = get_family("poisson"), get_link("log")
-        f1 = fit_glm(X, y, v, fam, link)
-        f2 = fit_glm(X, y, 2.0 * v, fam, link)
+        fam = get_family("poisson")
+        f1 = fit_glm(X, y, v, fam)
+        f2 = fit_glm(X, y, 2.0 * v, fam)
         assert f2.beta0 == pytest.approx(f1.beta0 - math.log(2.0), abs=1e-6)
         assert_allclose(f2.beta, f1.beta, atol=1e-6)
 

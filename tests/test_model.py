@@ -74,6 +74,17 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(q=3, hidden_dims=(4,), activations=("tanh",))
 
+    @pytest.mark.parametrize("family,link", [("gaussian", "identity"), ("poisson", "log")])
+    def test_link_defaults_to_canonical(self, family, link):
+        assert ModelSpec(q=2, family=family).link == link
+        assert ModelSpec(q=2, family=family) == ModelSpec(q=2, family=family, link=link)
+
+    @pytest.mark.parametrize("family,link", [("gaussian", "log"), ("poisson", "identity"),
+                                             ("gaussian", "logit")])
+    def test_rejects_non_canonical_link(self, family, link):
+        with pytest.raises(ValueError, match=rf"family '{family}'.*link '{link}'"):
+            ModelSpec(q=2, family=family, link=link)
+
 
 class TestInitParams:
     def test_deterministic(self):
@@ -190,8 +201,7 @@ class TestParamGradients:
         _, grads = loss_and_param_grads(params, spec, np.ones((3, 3)), y)
         assert grads.beta0 == pytest.approx(2.0 * (1.5 - y.mean()), rel=1e-12)
 
-    @pytest.mark.parametrize("family,link", [("gaussian", "identity"), ("poisson", "log"),
-                                             ("gaussian", "log")])
+    @pytest.mark.parametrize("family,link", [("gaussian", "identity"), ("poisson", "log")])
     def test_matches_finite_differences(self, family, link):
         rng = rng_stream(7, f"fd-{family}")
         spec = ModelSpec(q=4, hidden_dims=(6, 5), family=family, link=link)
@@ -205,6 +215,29 @@ class TestParamGradients:
             y = rng.standard_normal(12)
         _, grads = loss_and_param_grads(params, spec, X, y, v)
         assert_grads_close(grads, fd_param_grads(params, spec, X, y, v))
+
+    def test_poisson_clamp_and_exposure_match_finite_differences(self):
+        # A large attention bias on feature 0 pushes eta past the clamp on the
+        # rows where |x_0| is large; those rows must contribute nothing. The
+        # finite differences run below the window, where mu = v exp(-30) keeps
+        # the loss small enough to difference.
+        rng = rng_stream(7, "fd-clamp")
+        spec = ModelSpec(q=3, hidden_dims=(5,), family="poisson")
+        params = init_params(spec, rng, output_bias=0.1)
+        params.biases[-1][0] = 12.0
+        X = rng.standard_normal((10, 3))
+        X[:, 0] = np.r_[-3.0, -3.5, -4.0, rng.uniform(-1.0, 1.0, 7)]
+        v = rng.uniform(0.3, 1.0, 10)
+        y = rng.poisson(1.0, 10).astype(float)
+        eta_max = get_family("poisson").eta_max
+        clamped = np.abs(forward(params, spec, X, v).eta) > eta_max
+        assert clamped[:3].all() and not clamped[3:].any()
+        _, grads = loss_and_param_grads(params, spec, X, y, v)
+        assert_grads_close(grads, fd_param_grads(params, spec, X, y, v))
+        X[:2, 0] = [3.0, 4.0]  # above the window too
+        assert (np.abs(forward(params, spec, X[:3], v[:3]).eta) > eta_max).all()
+        _, grads = loss_and_param_grads(params, spec, X[:3], y[:3], v[:3])
+        assert np.all(grads.flat == 0.0)
 
     def test_gradient_is_descent_direction(self):
         rng = rng_stream(8, "desc")

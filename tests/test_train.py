@@ -238,3 +238,31 @@ class TestHistoryAndConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_learning_rate(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, -0.1, 1.5])
+    def test_rejects_moment_decay_outside_unit_interval(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+        TrainConfig(**{name: 0.0})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-7])
+    def test_rejects_nonpositive_eps(self, value):
+        with pytest.raises(ConfigError, match="eps"):
+            TrainConfig(eps=value)
+
+    def test_rejects_patience_below_one(self):
+        with pytest.raises(ConfigError, match="patience"):
+            TrainConfig(patience=0)
+        assert TrainConfig(patience=1).patience == 1
+
+    def test_bounds_reach_the_config_file(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("learning_rate = -1\n")
+        with pytest.raises(ConfigError, match="learning_rate"):
+            load_train_config(path)
