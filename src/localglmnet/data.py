@@ -17,7 +17,10 @@ standardized with learning-set moments; one-hot columns stay 0/1.
 """
 
 import csv
+import io
+import math
 import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -225,17 +228,61 @@ def one_hot(values, levels=None):
 
 def _parse_float(cell, row, col):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"row {row}, column {col!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}, column {col!r}: {cell!r} is not a finite number")
+    return value
+
+
+def _parse_column(cells, col):
+    return np.array([_parse_float(cell, i, col) for i, cell in enumerate(cells, start=1)])
+
+
+def _column_cells(rows, j, col):
+    cells = []
+    for i, row in enumerate(rows, start=1):
+        if j >= len(row) or row[j] == "":
+            raise DataError(f"row {i}, column {col!r}: missing value")
+        cells.append(row[j])
+    return cells
+
+
+def _read_numeric(body, usecols):
+    """Parse columns ``usecols`` of a CSV body with one np.loadtxt call.
+
+    Returns an (n, len(usecols)) array, or None whenever only the per-cell
+    reader can give the exact values or name the faulty cell: a quote
+    character, no data lines, a cell loadtxt cannot parse (float() also
+    takes ``1_000``), a row count that differs from the body's line count
+    (loadtxt skips blank lines) or a non-finite value.
+    """
+    n_lines = (body.count("\n") + body.count("\r") - body.count("\r\n")
+               + (body[-1:] not in ("", "\n", "\r")))
+    if n_lines == 0 or '"' in body:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(io.StringIO(body, newline=None), delimiter=",",
+                               comments=None, usecols=usecols, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if block.shape[0] != n_lines or not np.all(np.isfinite(block)):
+        return None
+    return block
 
 
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a comma-separated file (header mandatory) against a schema.
 
-    Missing values are rejected; cells must parse per the column kind.
-    Categorical columns are one-hot encoded here, in schema-pinned or
-    first-appearance level order.
+    Missing and non-finite values are rejected; cells must parse per the
+    column kind. Numeric columns are read by one np.loadtxt call; the csv
+    module reads categorical columns, and every column when that fast read
+    finds anything amiss, so errors name the row and the column. Categorical
+    columns are one-hot encoded here, in schema-pinned or first-appearance
+    level order.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -243,36 +290,38 @@ def load_csv(path, schema: Schema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file (header row required)") from None
-        rows = list(reader)
+        body = fh.read()
     header = [h.strip() for h in header]
     missing = [c.name for c in schema.columns if c.kind != "ignore" and c.name not in header]
     if missing:
         raise DataError(f"{path}: missing required columns: {missing}")
     col_of = {name: j for j, name in enumerate(header)}
+    used = [c for c in schema.columns if c.kind != "ignore"]
+    numeric = [c.name for c in used if c.kind != "categorical"]
+    block = _read_numeric(body, [col_of[name] for name in numeric])
 
     raw = {}
-    for c in schema.columns:
-        if c.kind == "ignore":
-            continue
-        j = col_of[c.name]
-        cells = []
-        for i, row in enumerate(rows, start=1):
-            if j >= len(row) or row[j] == "":
-                raise DataError(f"row {i}, column {c.name!r}: missing value")
-            cells.append(row[j])
-        raw[c.name] = cells
+    if block is None or len(numeric) < len(used):
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        for c in used:
+            if block is None or c.kind == "categorical":
+                raw[c.name] = _column_cells(rows, col_of[c.name], c.name)
+        if not rows:
+            raise DataError(f"{path}: no data rows")
 
-    n = len(rows)
-    if n == 0:
-        raise DataError(f"{path}: no data rows")
-    y = np.array([_parse_float(c, i + 1, schema.response)
-                  for i, c in enumerate(raw[schema.response])])
-    if schema.exposure is not None:
-        v = np.array([_parse_float(c, i + 1, schema.exposure)
-                      for i, c in enumerate(raw[schema.exposure])])
+    def values(name):
+        if block is None:
+            return _parse_column(raw[name], name)
+        return block[:, numeric.index(name)].copy()
+
+    y = values(schema.response)
+    n = len(y)
+    exposure = schema.exposure
+    if exposure is not None:
+        v = values(exposure)
         if np.any(v <= 0):
             bad = int(np.argmax(v <= 0)) + 1
-            raise DataError(f"row {bad}, column {schema.exposure!r}: exposure must be > 0")
+            raise DataError(f"row {bad}, column {exposure!r}: exposure must be > 0")
     else:
         v = np.ones(n)
 
@@ -287,30 +336,31 @@ def load_csv(path, schema: Schema) -> Dataset:
                 kinds.append("onehot")
             groups[c.name] = list(range(start, start + len(levels)))
         else:
-            vals = np.array([_parse_float(cell, i + 1, c.name)
-                             for i, cell in enumerate(raw[c.name])])
-            cols.append(vals)
+            cols.append(values(c.name))
             names.append(c.name)
             kinds.append(c.kind)
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     return Dataset(X=X, y=y, v=v, feature_names=names, feature_kinds=kinds, groups=groups)
 
 
+_WRITE_CHUNK_ROWS = 10000
+
+
 def write_csv(dataset: Dataset, path) -> None:
-    """Write the encoded design plus response (and exposure, when present)."""
+    """Write the encoded design plus response (and exposure, when present).
+
+    Cells are ``repr`` of the float64 values, so a round trip is bit-exact.
+    """
     header = list(dataset.feature_names) + ["y"]
-    has_v = not np.all(dataset.v == 1.0)
-    if has_v:
+    columns = [dataset.X, dataset.y]
+    if not np.all(dataset.v == 1.0):
         header.append("v")
+        columns.append(dataset.v)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(x)) for x in dataset.X[i]]
-            row.append(repr(float(dataset.y[i])))
-            if has_v:
-                row.append(repr(float(dataset.v[i])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, dataset.n, _WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + _WRITE_CHUNK_ROWS] for c in columns])
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk.tolist())
 
 
 def standardize(dataset: Dataset):

@@ -13,7 +13,6 @@ squares with step-halving.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError
 
@@ -159,6 +158,8 @@ class GlmFit:
 
 
 def _check_full_rank(X: np.ndarray, column_names) -> None:
+    import scipy.linalg  # imported here so loading the CLI stays light
+
     _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps

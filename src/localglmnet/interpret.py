@@ -12,8 +12,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.special import ndtri
 
 from .model import ModelSpec, Params, batch_input_jacobian
 
@@ -50,6 +48,8 @@ def interval(alpha: float, sd_control: float):
         raise ValueError(f"significance level must be in (0, 1/2), got {alpha}")
     if sd_control < 0.0:
         raise ValueError(f"control sd must be >= 0, got {sd_control}")
+    from scipy.special import ndtri  # imported here so loading the CLI stays light
+
     lo = float(ndtri(alpha / 2.0)) * sd_control
     return lo, -lo
 
@@ -175,6 +175,8 @@ def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     so constants and straight lines are reproduced exactly for any knot
     layout. Returns ``(grid, values)`` over [min x, max x].
     """
+    from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

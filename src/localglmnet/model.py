@@ -141,7 +141,6 @@ class ForwardTrace:
     where mu is held at its clamped value.
     """
 
-    pre_activations: list
     activations: list
     attentions: np.ndarray
     eta: np.ndarray
@@ -153,11 +152,9 @@ def _act(name, a):
     return np.tanh(a) if name == "tanh" else a
 
 
-def _act_deriv(name, a):
-    if name == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
-    return np.ones_like(a)
+def _act_deriv(name, z):
+    """Derivative of the activation, from its output z (tanh' = 1 - tanh^2)."""
+    return 1.0 - z * z if name == "tanh" else np.ones_like(z)
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 0.0) -> Params:
@@ -176,29 +173,27 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 
 
 
 def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
-    """Run the attention tower, returning per-layer pre-activations and activations.
+    """Run the attention tower, returning the per-layer activations.
 
-    ``acts[0]`` is the input X as a float array of shape (n, q).
+    ``acts[0]`` is the input X as a float array of shape (n, q) and
+    ``acts[m + 1]`` the output of layer m.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
-    pre, acts = [], [X]
-    z = X
+    acts = [X]
     for m in range(spec.depth):
-        a = z @ params.weights[m] + params.biases[m]
+        a = acts[-1] @ params.weights[m] + params.biases[m]
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite activations in layer {m + 1}")
-        z = _act(spec.activations[m], a)
-        pre.append(a)
-        acts.append(z)
-    return pre, acts
+        acts.append(_act(spec.activations[m], a))
+    return acts
 
 
 def forward(params: Params, spec: ModelSpec, X: np.ndarray,
             v: np.ndarray | None = None) -> ForwardTrace:
     """Full forward pass: attentions, linear predictor, and response mean."""
-    pre, acts = _tower(params, spec, X)
+    acts = _tower(params, spec, X)
     X = acts[0]
     beta = acts[-1]
     eta = params.beta0 + np.sum(beta * X, axis=1)
@@ -207,14 +202,13 @@ def forward(params: Params, spec: ModelSpec, X: np.ndarray,
     mu = family.inv(np.clip(eta, -family.eta_max, family.eta_max))
     if family.uses_exposure and v is not None:
         mu = mu * np.asarray(v, dtype=float)
-    return ForwardTrace(pre_activations=pre, activations=acts, attentions=beta,
-                        eta=eta, mu=mu, n_clamped=n_clamped)
+    return ForwardTrace(activations=acts, attentions=beta, eta=eta, mu=mu,
+                        n_clamped=n_clamped)
 
 
 def attention(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     """Regression attentions beta_j(x_i) as an (n, q) matrix."""
-    _, acts = _tower(params, spec, X)
-    return acts[-1]
+    return _tower(params, spec, X)[-1]
 
 
 def contributions(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
@@ -234,8 +228,10 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     """Batch loss and its gradient with respect to every parameter.
 
     Returns ``(loss, grads)`` where grads is a Params of the same layout.
-    The loss is the family's mean deviance over the batch. The skip
-    connection routes the chain rule into the tower as d eta / d beta_j = x_j.
+    The loss is the family's mean deviance over the batch. ``grads.n_clamped``
+    counts the batch rows whose eta lies outside the family's clamp window.
+    The skip connection routes the chain rule into the tower as
+    d eta / d beta_j = x_j.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -251,10 +247,11 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     deta[np.abs(trace.eta) > family.eta_max] = 0.0
 
     grads = Params(spec.layer_dims)
+    grads.n_clamped = trace.n_clamped
     grads.beta0 = np.sum(deta)
     delta = deta[:, None] * X  # gradient wrt the tower output beta(x)
     for m in range(spec.depth - 1, -1, -1):
-        da = delta * _act_deriv(spec.activations[m], trace.pre_activations[m])
+        da = delta * _act_deriv(spec.activations[m], trace.activations[m + 1])
         np.matmul(trace.activations[m].T, da, out=grads.weights[m])
         da.sum(axis=0, out=grads.biases[m])
         if m > 0:
@@ -269,12 +266,12 @@ def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.n
     one forward pass across all q outputs. The skip connection does not
     enter the attentions, so only the tower is differentiated.
     """
-    pre, _ = _tower(params, spec, X)
-    d0 = _act_deriv(spec.activations[0], pre[0])  # (n, q_1)
+    acts = _tower(params, spec, X)
+    d0 = _act_deriv(spec.activations[0], acts[1])  # (n, q_1)
     J = d0[:, :, None] * params.weights[0].T[None, :, :]  # (n, q_1, q)
     for m in range(1, spec.depth):
         J = np.matmul(params.weights[m].T, J)  # (q_{m+1}, q_m) @ (n, q_m, q)
-        J *= _act_deriv(spec.activations[m], pre[m])[:, :, None]
+        J *= _act_deriv(spec.activations[m], acts[m + 1])[:, :, None]
     return J
 
 

@@ -283,6 +283,19 @@ class TestExitCodes:
                    "--out-dir", tmp_path / "x")
         assert code == 3
 
+    def test_non_finite_cell_is_data_error(self, workdir, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [[repr(float(x)) for x in r] for r in rng.standard_normal((200, 9))]
+        rows[4][0] = "nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text(",".join([f"x{j}" for j in range(1, 9)] + ["y"]) + "\n"
+                       + "".join(",".join(r) + "\n" for r in rows))
+        code = run("fit", "--learn", bad, "--schema", workdir / "schema.txt",
+                   "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
+                   "--out-dir", tmp_path / "x")
+        assert code == 3
+        assert "row 5, column 'x1': 'nan' is not a finite number" in capsys.readouterr().err
+
     def test_malformed_model_is_config_error(self, workdir, capsys):
         synth_dir, fit_dir = fit_small(workdir, n=300)
         doc = json.loads((fit_dir / "model.json").read_text())

@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from localglmnet import (
+    Dataset,
     add_control,
     apply_standardize,
     load_csv,
@@ -16,6 +20,7 @@ from localglmnet import (
     unstandardize,
     write_csv,
 )
+from localglmnet import data as data_mod
 from localglmnet.data import Schema, parse_schema, read_key_values
 from localglmnet.errors import ConfigError, DataError
 
@@ -123,6 +128,195 @@ class TestLoadCsv:
         back = load_csv(out, synth_schema())
         assert_allclose(back.X, learn.X)
         assert_allclose(back.y, learn.y)
+
+
+# The per-cell reader and row writer that load_csv and write_csv replaced,
+# kept as the reference: every cell goes through csv and float(). The one
+# change is that non-finite numbers are rejected, as load_csv now does.
+def reference_parse_float(cell, row, col):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {row}, column {col!r}: cannot parse {cell!r} as a number") from None
+    if not np.isfinite(value):
+        raise DataError(f"row {row}, column {col!r}: {cell!r} is not a finite number")
+    return value
+
+
+def reference_load_csv(path, schema):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file (header row required)") from None
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    missing = [c.name for c in schema.columns if c.kind != "ignore" and c.name not in header]
+    if missing:
+        raise DataError(f"{path}: missing required columns: {missing}")
+    col_of = {name: j for j, name in enumerate(header)}
+    raw = {}
+    for c in schema.columns:
+        if c.kind == "ignore":
+            continue
+        j = col_of[c.name]
+        cells = []
+        for i, row in enumerate(rows, start=1):
+            if j >= len(row) or row[j] == "":
+                raise DataError(f"row {i}, column {c.name!r}: missing value")
+            cells.append(row[j])
+        raw[c.name] = cells
+    n = len(rows)
+    if n == 0:
+        raise DataError(f"{path}: no data rows")
+    y = np.array([reference_parse_float(c, i + 1, schema.response)
+                  for i, c in enumerate(raw[schema.response])])
+    if schema.exposure is not None:
+        v = np.array([reference_parse_float(c, i + 1, schema.exposure)
+                      for i, c in enumerate(raw[schema.exposure])])
+        if np.any(v <= 0):
+            bad = int(np.argmax(v <= 0)) + 1
+            raise DataError(f"row {bad}, column {schema.exposure!r}: exposure must be > 0")
+    else:
+        v = np.ones(n)
+    cols, names, kinds, groups = [], [], [], {}
+    for c in schema.feature_columns:
+        if c.kind == "categorical":
+            mat, levels = one_hot(raw[c.name], c.levels)
+            start = len(names)
+            for k, lv in enumerate(levels):
+                cols.append(mat[:, k])
+                names.append(f"{c.name}={lv}")
+                kinds.append("onehot")
+            groups[c.name] = list(range(start, start + len(levels)))
+        else:
+            cols.append(np.array([reference_parse_float(cell, i + 1, c.name)
+                                  for i, cell in enumerate(raw[c.name])]))
+            names.append(c.name)
+            kinds.append(c.kind)
+    X = np.column_stack(cols) if cols else np.empty((n, 0))
+    return X, y, v, names, kinds, groups
+
+
+def reference_write_csv(dataset, path):
+    header = list(dataset.feature_names) + ["y"]
+    has_v = not np.all(dataset.v == 1.0)
+    if has_v:
+        header.append("v")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(float(x)) for x in dataset.X[i]]
+            row.append(repr(float(dataset.y[i])))
+            if has_v:
+                row.append(repr(float(dataset.v[i])))
+            writer.writerow(row)
+
+
+def outcome(load, path, schema):
+    """``("ok", arrays as bytes, names, kinds, groups)`` or ``("error", message)``."""
+    try:
+        got = load(path, schema)
+    except DataError as exc:
+        return ("error", str(exc))
+    if isinstance(got, Dataset):
+        got = (got.X, got.y, got.v, got.feature_names, got.feature_kinds, got.groups)
+    X, y, v, names, kinds, groups = got
+    return ("ok", X.shape, X.tobytes(), y.tobytes(), v.tobytes(), names, kinds, groups)
+
+
+ODD_CELLS = ["", " ", "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1_000",
+             "#2", "abc", " 2.5 ", "\t3", '"1.5"', '" 7 "', "+1", ".5", "5.", "-0.0", "1e-320",
+             "0x10", "0", "-3", "1,2", '"1,2"', '"A"']
+
+
+@st.composite
+def csv_cases(draw):
+    """A small CSV text and its schema, with rare odd cells, blank lines, short
+    rows and either line ending."""
+    with_cat, with_v, pinned = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    kinds = {"x1": "continuous", "x2": "binary", "y": "response", "junk": "ignore"}
+    if with_cat:
+        kinds["c"] = "categorical(A, B)" if pinned else "categorical"
+    if with_v:
+        kinds["v"] = "exposure"
+    header = draw(st.permutations(list(kinds)))
+    schema = parse_schema("".join(f"{name}: {kinds[name]}\n" for name in header))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    positive = st.floats(min_value=1e-3, max_value=1e3).map(repr)
+    cell = {"x1": number, "x2": st.sampled_from(["0", "1", "0.0", "1.0"]), "y": number,
+            "junk": st.sampled_from(["z", "", "0.5"]), "c": st.sampled_from(["A", "B", "C"]),
+            "v": positive}
+    n = draw(st.integers(min_value=0, max_value=8))
+    rows = [[draw(cell[name]) for name in header] for _ in range(n)]
+    if n:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(header) - 1))
+            rows[i][j] = draw(st.sampled_from(ODD_CELLS))
+        if draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(0, n - 1))
+            rows[i] = rows[i][:draw(st.integers(0, len(header) - 1))]
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(min_value=1, max_value=2)) if draw(st.integers(0, 3)) == 0
+                   else 0):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, schema
+
+
+class TestFastCsvIo:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_cases())
+    def test_load_matches_per_cell_reference(self, tmp_path_factory, case):
+        text, schema = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, path, schema) == outcome(reference_load_csv, path, schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("column", ["x1", "y"])
+    def test_non_finite_cell_named(self, tmp_path, cell, column):
+        rows = [["0.5", "1.0"] for _ in range(6)]
+        rows[4][["x1", "y"].index(column)] = cell
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(DataError, match=f"row 5, column '{column}'.*not a finite"):
+            load_csv(path, parse_schema("x1: continuous\ny: response\n"))
+
+    def test_quoted_comma_does_not_shift_columns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('c,junk,x1,y\n"a,b",0.5,1.5,2.5\nd,0.5,3.5,4.5\n')
+        schema = parse_schema("c: categorical\njunk: ignore\nx1: continuous\ny: response\n")
+        ds = load_csv(path, schema)
+        assert ds.feature_names == ["c=a,b", "c=d", "x1"]
+        assert ds.X[:, 2].tolist() == [1.5, 3.5] and ds.y.tolist() == [2.5, 4.5]
+        assert outcome(load_csv, path, schema) == outcome(reference_load_csv, path, schema)
+
+    def test_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y\n1.0,2.0\n\n3.0,4.0\n")
+        with pytest.raises(DataError, match="row 2, column 'x1': missing value"):
+            load_csv(path, parse_schema("x1: continuous\ny: response\n"))
+
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_write_matches_reference_bytes(self, tmp_path, monkeypatch, with_v):
+        monkeypatch.setattr(data_mod, "_WRITE_CHUNK_ROWS", 4)  # several chunks, one partial
+        rng = rng_stream(3, "write")
+        X = rng.standard_normal((11, 3)) * np.logspace(-300, 300, 3)
+        X[0, 0], X[1, 1] = -0.0, 5e-324
+        v = rng.uniform(0.1, 1.0, 11) if with_v else np.ones(11)
+        ds = Dataset(X=X, y=rng.standard_normal(11), v=v, feature_names=["a", "b,c", "d"],
+                     feature_kinds=["continuous"] * 3, groups={})
+        write_csv(ds, tmp_path / "new.csv")
+        reference_write_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        schema = parse_schema("a: continuous\nb,c: continuous\nd: continuous\ny: response\n"
+                              + ("v: exposure\n" if with_v else ""))
+        back = load_csv(tmp_path / "new.csv", schema)
+        assert back.X.tobytes() == X.tobytes() and back.v.tobytes() == v.tobytes()
 
 
 class TestOneHot:

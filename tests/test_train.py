@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,10 @@ from localglmnet import (
     TrainConfig,
     evaluate_loss,
     fit,
+    fit_null,
+    get_family,
     init_params,
+    loss_and_param_grads,
     load_train_config,
     nadam_step,
     rng_stream,
@@ -204,6 +209,67 @@ class TestFit:
         params, hist = fit(ds, spec, TrainConfig(batch_size=200, max_epochs=20, seed=17))
         assert np.isfinite(hist.val_loss).all()
         assert evaluate_loss(params, spec, ds) < hist.train_loss[0]
+
+
+    def test_train_loss_is_pre_step_batch_loss(self):
+        # One batch per epoch: train_loss[e] is the loss of the parameters
+        # before step e + 1, replayed here from fit's seeded streams.
+        ds = make_dataset(200, 2, seed=20)
+        spec = ModelSpec(q=2, hidden_dims=(4,))
+        cfg = TrainConfig(batch_size=1000, max_epochs=5, seed=21, shuffle=False)
+        _, hist = fit(ds, spec, cfg)
+        train, val = split_learn(ds, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        family = get_family(spec.family)
+        params = init_params(spec, rng_stream(cfg.seed, "init"),
+                             output_bias=float(family.g(fit_null(train.y, train.v, family))))
+        m, v = zero_moments(params)
+        for t in range(1, cfg.max_epochs + 1):
+            loss, grads = loss_and_param_grads(params, spec, train.X, train.y, train.v)
+            assert hist.train_loss[t - 1] == pytest.approx(loss, rel=1e-14, abs=0.0)
+            nadam_step(params, grads, m, v, t, cfg)
+            assert hist.val_loss[t - 1] == evaluate_loss(params, spec, val)
+        assert hist.train_loss[-1] != pytest.approx(evaluate_loss(params, spec, train),
+                                                    rel=1e-6)
+
+    def test_train_loss_weights_batches_by_rows(self):
+        # 150 training rows in batches of 100 and 50: the epoch mean weights
+        # each batch loss by its row count.
+        ds = make_dataset(188, 2, seed=22)
+        spec = ModelSpec(q=2)
+        cfg = TrainConfig(batch_size=100, max_epochs=1, seed=23, shuffle=False)
+        _, hist = fit(ds, spec, cfg)
+        train, _ = split_learn(ds, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        family = get_family(spec.family)
+        params = init_params(spec, rng_stream(cfg.seed, "init"),
+                             output_bias=float(family.g(fit_null(train.y, train.v, family))))
+        m, v = zero_moments(params)
+        first, grads = loss_and_param_grads(params, spec, train.X[:100], train.y[:100])
+        nadam_step(params, grads, m, v, 1, cfg)
+        second, _ = loss_and_param_grads(params, spec, train.X[100:], train.y[100:])
+        assert train.n == 150
+        assert hist.train_loss[0] == pytest.approx((100 * first + 50 * second) / 150,
+                                                   rel=1e-14, abs=0.0)
+
+    def test_poisson_clamp_warns(self):
+        # Inputs of scale 100 put eta far outside the +/-30 window at the start.
+        rng = rng_stream(24, "clamp")
+        X = 100.0 * rng.standard_normal((200, 2))
+        y = rng.poisson(1.0, 200).astype(float)
+        ds = Dataset(X=X, y=y, v=np.ones(200), feature_names=["a", "b"],
+                     feature_kinds=["continuous"] * 2, groups={})
+        spec = ModelSpec(q=2, hidden_dims=(3,), family="poisson")
+        with pytest.warns(RuntimeWarning, match=r"clamp engaged on \d+ training batch rows"):
+            fit(ds, spec, TrainConfig(batch_size=50, max_epochs=2, seed=25))
+
+    def test_no_clamp_warning_on_tame_poisson(self):
+        rng = rng_stream(26, "tame")
+        X = rng.standard_normal((200, 2))
+        ds = Dataset(X=X, y=rng.poisson(1.0, 200).astype(float), v=np.ones(200),
+                     feature_names=["a", "b"], feature_kinds=["continuous"] * 2, groups={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(ds, ModelSpec(q=2, hidden_dims=(3,), family="poisson"),
+                TrainConfig(batch_size=50, max_epochs=2, seed=27))
 
 
 class TestHistoryAndConfig:
