@@ -22,7 +22,6 @@ from .data import (
     synth_generate,
     synth_schema,
     true_mu,
-    unstandardize,
     write_csv,
 )
 from .errors import ConfigError, DataError, NumericError
@@ -49,18 +48,14 @@ from .interpret import (
 )
 from .linalg import rng_stream, sample_mvn
 from .model import (
-    ForwardTrace,
     ModelSpec,
     Params,
     attention,
     batch_input_jacobian,
-    contributions,
     forward,
     init_params,
-    input_jacobian,
     load_model,
     loss_and_param_grads,
-    predict_mu,
     save_model,
 )
 from .train import (
@@ -80,15 +75,14 @@ __all__ = [
     "rng_stream", "sample_mvn",
     "Gaussian", "Poisson", "get_family",
     "mse_loss", "poisson_deviance", "fit_null", "fit_glm",
-    "ModelSpec", "Params", "ForwardTrace", "init_params", "forward",
-    "attention", "contributions", "predict_mu", "loss_and_param_grads",
-    "input_jacobian", "batch_input_jacobian", "save_model", "load_model",
+    "ModelSpec", "Params", "init_params", "forward", "attention",
+    "loss_and_param_grads", "batch_input_jacobian", "save_model", "load_model",
     "TrainConfig", "TrainHistory", "split_learn", "nadam_step",
     "evaluate_loss", "fit", "load_train_config",
     "selection_stats", "interval", "coverage_and_verdict", "selection_report",
     "SelectionReport", "ImportanceReport", "variable_importance",
     "smooth_curve", "InteractionProfile", "interaction_profiles",
     "Schema", "Dataset", "StandardizeParams", "load_schema", "load_csv",
-    "write_csv", "one_hot", "standardize", "apply_standardize", "unstandardize",
+    "write_csv", "one_hot", "standardize", "apply_standardize",
     "add_control", "true_mu", "synth_schema", "synth_generate",
 ]

@@ -16,6 +16,7 @@ so re-running a command reproduces its outputs byte for byte. Exit codes:
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,15 +39,6 @@ def _write(path, text):
 
 def _write_kv(path, pairs):
     _write(path, "".join(f"{k} = {v}\n" for k, v in pairs))
-
-
-def _write_rows(path, header, rows):
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _load_model_spec(path, q):
@@ -149,7 +141,7 @@ def _fit_pipeline(args, schema):
     header = ["model", "in_sample"] + (["out_of_sample"] if test is not None else [])
     if test is None:
         print("warning: no test file given; loss table is in-sample only", file=sys.stderr)
-    _write_rows(os.path.join(args.out_dir, "losses.csv"), header, rows)
+    data_mod.write_rows(os.path.join(args.out_dir, "losses.csv"), header, rows)
     history.write_csv(os.path.join(args.out_dir, "history.csv"))
     preprocess = {
         "standardize": std_params.to_dict(),
@@ -175,8 +167,18 @@ def cmd_drop_refit(args):
 
 
 def _report_dataset(args, preprocess):
-    schema = data_mod.load_schema(args.schema)
-    dataset = data_mod.load_csv(args.data, schema)
+    """Load and encode a CSV the way the model's training data was encoded.
+
+    Categorical columns the schema leaves unpinned are pinned to the training
+    levels, so the one-hot columns match whatever order the levels appear in.
+    """
+    names, groups = preprocess["feature_names"], preprocess["groups"]
+    columns = []
+    for c in data_mod.load_schema(args.schema).columns:
+        if c.kind == "categorical" and c.levels is None and c.name in groups:
+            c = replace(c, levels=tuple(names[j][len(c.name) + 1:] for j in groups[c.name]))
+        columns.append(c)
+    dataset = data_mod.load_csv(args.data, data_mod.Schema(columns))
     control_dist = preprocess.get("control", "none")
     if control_dist != "none":
         dataset = data_mod.add_control(dataset, control_dist,
@@ -191,6 +193,8 @@ def _report_dataset(args, preprocess):
 
 
 def cmd_report(args):
+    if args.sample < 1:
+        raise ConfigError(f"--sample must be >= 1, got {args.sample}")
     os.makedirs(args.out_dir, exist_ok=True)
     spec, params, preprocess = load_model(args.model)
     if preprocess is None:
@@ -234,16 +238,18 @@ def cmd_report(args):
     guide = [(0.0, "#d62728"), (report.lo, "#17becf"), (report.hi, "#17becf")]
     for j, name in zip(std_cols, std_names):
         x = dataset.X[pick, j]
-        _write_rows(os.path.join(args.out_dir, f"attention_{name}.csv"),
-                    [name, "attention"],
-                    [[repr(float(a)), repr(float(b))] for a, b in zip(x, beta[pick, j])])
+        data_mod.write_rows(os.path.join(args.out_dir, f"attention_{name}.csv"),
+                            [name, "attention"],
+                            [[repr(float(a)), repr(float(b))]
+                             for a, b in zip(x, beta[pick, j])])
         _write(os.path.join(args.out_dir, f"attention_{name}.svg"),
                svg.scatter_svg(x, beta[pick, j], title=f"Attention: {name}",
                                xlabel=name, ylabel="attention",
                                hlines=guide, ylim=ylim_beta))
-        _write_rows(os.path.join(args.out_dir, f"contribution_{name}.csv"),
-                    [name, "contribution"],
-                    [[repr(float(a)), repr(float(c))] for a, c in zip(x, contrib[pick, j])])
+        data_mod.write_rows(os.path.join(args.out_dir, f"contribution_{name}.csv"),
+                            [name, "contribution"],
+                            [[repr(float(a)), repr(float(c))]
+                             for a, c in zip(x, contrib[pick, j])])
         _write(os.path.join(args.out_dir, f"contribution_{name}.svg"),
                svg.scatter_svg(x, contrib[pick, j], title=f"Contribution: {name}",
                                xlabel=name, ylabel="contribution",
@@ -258,9 +264,9 @@ def cmd_report(args):
                        else np.zeros(5))
             rows.append([level] + [repr(float(s)) for s in summary] + [int(on.size)])
             boxes.append((level, summary))
-        _write_rows(os.path.join(args.out_dir, f"onehot_{group}.csv"),
-                    ["level", "whisker_lo", "q1", "median", "q3", "whisker_hi", "n"],
-                    rows)
+        data_mod.write_rows(os.path.join(args.out_dir, f"onehot_{group}.csv"),
+                            ["level", "whisker_lo", "q1", "median", "q3", "whisker_hi", "n"],
+                            rows)
         _write(os.path.join(args.out_dir, f"onehot_{group}.svg"),
                svg.box_svg(boxes, title=f"Attention by level: {group}",
                            ylabel="attention"))
@@ -268,6 +274,8 @@ def cmd_report(args):
 
 
 def cmd_interactions(args):
+    if args.sample < 0:
+        raise ConfigError(f"--sample must be >= 0, got {args.sample}")
     os.makedirs(args.out_dir, exist_ok=True)
     spec, params, preprocess = load_model(args.model)
     if preprocess is None:
@@ -282,12 +290,9 @@ def cmd_interactions(args):
     std_names = [n for n, k in zip(dataset.feature_names, dataset.feature_kinds)
                  if k in data_mod.STANDARDIZED_KINDS]
     focal = [s.strip() for s in args.focal.split(",")] if args.focal else std_names
-    for name in focal:
-        if name not in dataset.feature_names:
-            raise ConfigError(f"unknown focal feature {name!r}")
-        profile = interaction_profiles(params, spec, X, name,
-                                       feature_names=dataset.feature_names,
-                                       n_knots=args.knots)
+    profiles = interaction_profiles(params, spec, X, focal,
+                                    feature_names=dataset.feature_names, n_knots=args.knots)
+    for name, profile in zip(focal, profiles):
         profile.write_csv(os.path.join(args.out_dir, f"interaction_{name}.csv"))
         curves = [(k, profile.curves[i]) for i, k in enumerate(profile.feature_names)]
         _write(os.path.join(args.out_dir, f"interaction_{name}.svg"),

@@ -38,10 +38,10 @@ __all__ = [
     "read_key_values",
     "load_csv",
     "write_csv",
+    "write_rows",
     "one_hot",
     "standardize",
     "apply_standardize",
-    "unstandardize",
     "add_control",
     "true_mu",
     "synth_schema",
@@ -363,6 +363,18 @@ def write_csv(dataset: Dataset, path) -> None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk.tolist())
 
 
+def write_rows(path, header, rows) -> None:
+    """Write a small CSV table: the header row, then ``rows``, LF line ends.
+
+    Every report, loss and history table goes through here, so they share one
+    format.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def standardize(dataset: Dataset):
     """Center and scale continuous-like columns to unit sample variance.
 
@@ -387,15 +399,6 @@ def apply_standardize(dataset: Dataset, params: StandardizeParams) -> Dataset:
     for name, mean, sd in zip(params.names, params.means, params.sds):
         j = out.feature_names.index(name)
         out.X[:, j] = (out.X[:, j] - mean) / sd
-    return out
-
-
-def unstandardize(dataset: Dataset, params: StandardizeParams) -> Dataset:
-    """Inverse of :func:`apply_standardize`."""
-    out = dataset.subset(np.arange(dataset.n))
-    for name, mean, sd in zip(params.names, params.means, params.sds):
-        j = out.feature_names.index(name)
-        out.X[:, j] = out.X[:, j] * sd + mean
     return out
 
 

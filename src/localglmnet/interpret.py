@@ -8,11 +8,11 @@ level allows is kept. Interactions are read off the input Jacobians
 d beta_j / d x_k, smoothed against x_j with a penalized cubic B-spline.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_rows
 from .model import ModelSpec, Params, batch_input_jacobian
 
 __all__ = [
@@ -32,6 +32,10 @@ __all__ = [
 # A feature is droppable when its outside-band fraction stays within this
 # multiple of alpha; the raw coverage is always reported alongside.
 DROP_MARGIN = 2.0
+
+# Roughness penalty weight and number of grid points of every smoothed curve.
+SMOOTHING = 1.0
+GRID_SIZE = 200
 
 
 def selection_stats(attention_col: np.ndarray):
@@ -96,14 +100,11 @@ class SelectionReport:
         raise KeyError(f"no feature {feature!r} in report")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", "mean", "sd", "coverage", "verdict",
-                             "interval_lo", "interval_hi", "control", "alpha"])
-            for r in self.rows:
-                writer.writerow([r.feature, repr(r.mean), repr(r.sd), repr(r.coverage),
-                                 r.verdict, repr(self.lo), repr(self.hi),
-                                 self.control, repr(self.alpha)])
+        write_rows(path, ["feature", "mean", "sd", "coverage", "verdict",
+                          "interval_lo", "interval_hi", "control", "alpha"],
+                   [[r.feature, repr(r.mean), repr(r.sd), repr(r.coverage), r.verdict,
+                     repr(self.lo), repr(self.hi), self.control, repr(self.alpha)]
+                    for r in self.rows])
 
 
 def selection_report(attentions: np.ndarray, feature_names, control: str,
@@ -133,12 +134,9 @@ class ImportanceReport:
     flagged: list  # features on a 0/1 (non-standardized) scale
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", "importance", "standardized_scale"])
-            for j in self.order:
-                writer.writerow([self.features[j], repr(float(self.vi[j])),
-                                 int(self.features[j] not in self.flagged)])
+        write_rows(path, ["feature", "importance", "standardized_scale"],
+                   [[self.features[j], repr(float(self.vi[j])),
+                     int(self.features[j] not in self.flagged)] for j in self.order])
 
 
 def variable_importance(attentions: np.ndarray, feature_names=None,
@@ -165,22 +163,23 @@ def _greville(knots: np.ndarray, degree: int) -> np.ndarray:
                      for j in range(len(knots) - degree - 1)])
 
 
-def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
-                 smoothing: float = 1.0, grid_size: int = 200):
+def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20):
     """Penalized cubic B-spline regression of y on x, evaluated on a grid.
 
     Interior knots sit at empirical quantiles of x. The roughness penalty
     is on divided second differences of the coefficients over the Greville
     sites (scaled to match plain second differences at uniform spacing),
     so constants and straight lines are reproduced exactly for any knot
-    layout. Returns ``(grid, values)`` over [min x, max x].
+    layout. ``y`` is a vector or an (n, m) matrix of m responses, which
+    share one design and one solve. Returns ``(grid, values)`` over
+    [min x, max x], with values shaped (GRID_SIZE,) or (GRID_SIZE, m).
     """
     from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length vectors")
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[0] != x.size:
+        raise ValueError("x must be a vector and y a vector or matrix with one row per x")
     if x.size < 10:
         raise ValueError(f"need at least 10 observations, got {x.size}")
     lo, hi = float(x.min()), float(x.max())
@@ -204,13 +203,13 @@ def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
         D[j, j + 1] = -(a + b)
         D[j, j + 2] = b
 
-    lhs = B.T @ B + smoothing * (D.T @ D)
+    lhs = B.T @ B + SMOOTHING * (D.T @ D)
     rhs = B.T @ y
     try:
         coef = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, GRID_SIZE)
     values = BSpline.design_matrix(grid, knots, degree).toarray() @ coef
     return grid, values
 
@@ -229,35 +228,34 @@ class InteractionProfile:
     curves: np.ndarray  # (q, len(grid))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([self.focal] +
-                            [f"d_{self.focal}_d_{k}" for k in self.feature_names])
-            for i, xval in enumerate(self.grid):
-                writer.writerow([repr(float(xval))] +
-                                [repr(float(self.curves[k, i]))
-                                 for k in range(len(self.feature_names))])
+        write_rows(path, [self.focal] + [f"d_{self.focal}_d_{k}" for k in self.feature_names],
+                   [[repr(float(x))] + [repr(float(c)) for c in row]
+                    for x, row in zip(self.grid, self.curves.T)])
 
 
-def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray,
-                         focal, feature_names=None, n_knots: int = 20,
-                         smoothing: float = 1.0, grid_size: int = 200) -> InteractionProfile:
-    """Input-Jacobian sensitivities of one attention, smoothed against x_focal.
+def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,
+                         feature_names=None, n_knots: int = 20) -> list:
+    """Input-Jacobian sensitivities of the focal attentions, each smoothed
+    against its own feature.
 
+    ``focal`` is a sequence of feature names; one InteractionProfile is
+    returned per name, in the order given, all from one Jacobian over X.
     A flat curve for k == focal means the focal term is linear; a nonzero
     curve for k != focal reveals an interaction between the two features.
     """
+    if isinstance(focal, str):
+        raise TypeError(f"focal must be a sequence of feature names, not the str {focal!r}")
     X = np.asarray(X, dtype=float)
     names = list(feature_names) if feature_names is not None else \
         [f"x{j + 1}" for j in range(spec.q)]
-    j = names.index(focal) if isinstance(focal, str) else int(focal)
+    for name in focal:
+        if name not in names:
+            raise ValueError(f"unknown focal feature {name!r}")
     jac = batch_input_jacobian(params, spec, X)  # (n, q, q)
-    xj = X[:, j]
-    curves = []
-    grid = None
-    for k in range(spec.q):
-        grid, values = smooth_curve(xj, jac[:, j, k], n_knots=n_knots,
-                                    smoothing=smoothing, grid_size=grid_size)
-        curves.append(values)
-    return InteractionProfile(focal=names[j], feature_names=names,
-                              grid=grid, curves=np.asarray(curves))
+    profiles = []
+    for name in focal:
+        j = names.index(name)
+        grid, values = smooth_curve(X[:, j], jac[:, j, :], n_knots=n_knots)
+        profiles.append(InteractionProfile(focal=name, feature_names=names,
+                                           grid=grid, curves=values.T))
+    return profiles

@@ -23,14 +23,10 @@ from .families import get_family
 __all__ = [
     "ModelSpec",
     "Params",
-    "ForwardTrace",
     "init_params",
     "forward",
     "attention",
-    "contributions",
-    "predict_mu",
     "loss_and_param_grads",
-    "input_jacobian",
     "batch_input_jacobian",
     "save_model",
     "load_model",
@@ -211,18 +207,6 @@ def attention(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     return _tower(params, spec, X)[-1]
 
 
-def contributions(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
-    """Per-feature terms beta_j(x_i) * x_ij of the additive decomposition."""
-    X = np.asarray(X, dtype=float)
-    return attention(params, spec, X) * X
-
-
-def predict_mu(params: Params, spec: ModelSpec, X: np.ndarray,
-               v: np.ndarray | None = None) -> np.ndarray:
-    """Response-scale predictions."""
-    return forward(params, spec, X, v).mu
-
-
 def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
                          y: np.ndarray, v: np.ndarray | None = None):
     """Batch loss and its gradient with respect to every parameter.
@@ -242,9 +226,10 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     loss = family.loss(y, trace.mu, v)
 
     # Under a canonical link dL/deta is the score 2 (mu - y) / n, exposure
-    # included. Outside the clamp window mu does not move with eta.
+    # included. Outside the clamp window the score of the clamped mean is
+    # kept: the exact gradient of the deviance continued linearly in eta, so
+    # clamped rows are still pulled back toward the window.
     deta = 2.0 * (trace.mu - y) / y.shape[0]
-    deta[np.abs(trace.eta) > family.eta_max] = 0.0
 
     grads = Params(spec.layer_dims)
     grads.n_clamped = trace.n_clamped
@@ -273,12 +258,6 @@ def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.n
         J = np.matmul(params.weights[m].T, J)  # (q_{m+1}, q_m) @ (n, q_m, q)
         J *= _act_deriv(spec.activations[m], acts[m + 1])[:, :, None]
     return J
-
-
-def input_jacobian(params: Params, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the attention vector at a single input, shape (q, q)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return batch_input_jacobian(params, spec, x)[0]
 
 
 # ---------------------------------------------------------------------------

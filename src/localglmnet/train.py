@@ -6,13 +6,13 @@ set), so the selected model is exactly reproducible from the history.
 All shuffling and splitting is driven by the config seed.
 """
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_rows
 from .errors import ConfigError, NumericError
 from .families import get_family, fit_null
 from .linalg import rng_stream
@@ -107,11 +107,9 @@ class TrainHistory:
         return self.val_loss[self.best_epoch - 1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "train_loss", "val_loss"])
-            for e, (tr, va) in enumerate(zip(self.train_loss, self.val_loss), start=1):
-                writer.writerow([e, repr(tr), repr(va)])
+        write_rows(path, ["epoch", "train_loss", "val_loss"],
+                   [[e, repr(tr), repr(va)]
+                    for e, (tr, va) in enumerate(zip(self.train_loss, self.val_loss), start=1)])
 
 
 def split_indices(n: int, val_fraction: float, rng: np.random.Generator):

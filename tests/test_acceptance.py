@@ -126,26 +126,28 @@ class TestAttentionShapes:
               f"mean b1={m1:.4f}; mean|b|={np.round(mabs, 4).tolist()}")
 
 
+@pytest.fixture(scope="module")
+def profiles(run):
+    """The three focal profiles the checks read, from one Jacobian pass."""
+    found = lg.interaction_profiles(run.params, run.spec, run.learn.X, ["x1", "x2", "x4"],
+                                    feature_names=run.learn.feature_names)
+    return {prof.focal: prof for prof in found}
+
+
 class TestInteractionDetection:
-    def test_focal_x1_flat(self, run):
-        prof = lg.interaction_profiles(run.params, run.spec, run.learn.X, "x1",
-                                       feature_names=run.learn.feature_names)
-        worst = float(np.abs(prof.curves).max())
+    def test_focal_x1_flat(self, profiles):
+        worst = float(np.abs(profiles["x1"].curves).max())
         _line("4a x1 sensitivities flat", worst < 0.1, f"max |curve| = {worst:.4f}")
 
-    def test_focal_x4_linear_interaction_with_x5(self, run):
-        prof = lg.interaction_profiles(run.params, run.spec, run.learn.X, "x4",
-                                       feature_names=run.learn.feature_names)
-        curve = prof.curves[4]
+    def test_focal_x4_linear_interaction_with_x5(self, profiles):
+        curve = profiles["x4"].curves[4]
         level = float(np.abs(curve).mean())
         spread = float(curve.std())
         ok = level > 0.2 and spread < 0.5 * level
         _line("4b x4-x5 interaction", ok, f"level={level:.4f} sd={spread:.4f}")
 
-    def test_focal_x2_quadratic_term(self, run):
-        prof = lg.interaction_profiles(run.params, run.spec, run.learn.X, "x2",
-                                       feature_names=run.learn.feature_names)
-        level = float(np.abs(prof.curves[1]).mean())
+    def test_focal_x2_quadratic_term(self, profiles):
+        level = float(np.abs(profiles["x2"].curves[1]).mean())
         _line("4c x2 own-gradient level", level > 0.1, f"level={level:.4f}")
 
 
@@ -198,7 +200,7 @@ class TestGradientCorrectness:
             worst_param = max(worst_param, abs(grads.beta0 - fd) / (abs(fd) + scale))
 
             x = rng.standard_normal(q)
-            J = lg.input_jacobian(params, spec, x)
+            J = lg.batch_input_jacobian(params, spec, x[None])[0]
             jscale = np.abs(J).max() + 1e-8
             for k in range(q):
                 xp, xm = x.copy(), x.copy()

@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from localglmnet import interpret
 from localglmnet.cli import main
 
 SCHEMA = "".join(f"x{j}: continuous\n" for j in range(1, 9)) + "y: response\n"
@@ -194,6 +196,15 @@ class TestReport:
                    "--out-dir", rep_dir) == 0
         assert "clamped" in capsys.readouterr().err
 
+    def test_zero_sample_is_config_error(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        out = workdir / "rep0"
+        assert run("report", "--model", fit_dir / "model.json",
+                   "--data", synth_dir / "test.csv", "--schema", workdir / "schema.txt",
+                   "--control", "x7", "--sample", 0, "--out-dir", out) == 2
+        assert "--sample must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_control_is_config_error(self, workdir):
         synth_dir, fit_dir = fit_small(workdir, n=300)
         assert run("report", "--model", fit_dir / "model.json",
@@ -237,6 +248,89 @@ class TestInteractions:
         lines = (out / "interaction_x4.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "x4"
         assert len(lines) == 201
+
+    def test_all_focal_features_share_one_jacobian(self, workdir, monkeypatch):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        calls = []
+        jacobian = interpret.batch_input_jacobian
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(interpret, "batch_input_jacobian", counted)
+        out = workdir / "inter_all"
+        assert run("interactions", "--model", fit_dir / "model.json",
+                   "--data", synth_dir / "learn.csv", "--schema", workdir / "schema.txt",
+                   "--out-dir", out) == 0
+        assert calls == [300]
+        assert len(os.listdir(out)) == 2 * 8
+
+    def test_negative_sample_is_config_error(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        out = workdir / "inter_neg"
+        assert run("interactions", "--model", fit_dir / "model.json",
+                   "--data", synth_dir / "learn.csv", "--schema", workdir / "schema.txt",
+                   "--sample", -3, "--out-dir", out) == 2
+        assert "--sample must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCategoricalLevels:
+    """report and interactions encode categories with the training levels."""
+
+    def fit_brands(self, workdir, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 400
+        brand = rng.choice(["A", "B", "C"], n)
+        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+        y = x1 + (brand == "B") + 0.1 * rng.standard_normal(n)
+        rows = [(f"{float(a)!r},{float(b)!r},{c},{float(d)!r}\n", c)
+                for a, b, c, d in zip(x1, x2, brand, y)]
+        schema = tmp_path / "cschema.txt"
+        schema.write_text("x1: continuous\nx2: continuous\nbrand: categorical\ny: response\n")
+        learn = self.write(tmp_path, "learn", rows)
+        assert run("fit", "--learn", learn, "--schema", schema,
+                   "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
+                   "--out-dir", tmp_path / "fit", "--seed", 3) == 0
+        return schema, rows, list(dict.fromkeys(brand))
+
+    @staticmethod
+    def write(tmp_path, name, rows):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x1,x2,brand,y\n" + "".join(line for line, _ in rows))
+        return path
+
+    def attentions(self, tmp_path, schema, name, rows):
+        out = tmp_path / f"rep_{name}"
+        assert run("report", "--model", tmp_path / "fit" / "model.json",
+                   "--data", self.write(tmp_path, name, rows), "--schema", schema,
+                   "--control", "x2", "--sample", len(rows), "--out-dir", out) == 0
+        lines = (out / "attention_x1.csv").read_text().splitlines()[1:]
+        return dict((x, float(a)) for x, a in (line.split(",") for line in lines))
+
+    @pytest.mark.parametrize("variant", ["reordered", "missing_level"])
+    def test_same_attentions_as_training_order(self, workdir, tmp_path, variant):
+        schema, rows, levels = self.fit_brands(workdir, tmp_path)
+        if variant == "reordered":
+            other = sorted(rows, key=lambda r: levels[::-1].index(r[1]))
+        else:
+            other = [r for r in rows if r[1] != levels[1]]
+        base = self.attentions(tmp_path, schema, "train_order", rows)
+        got = self.attentions(tmp_path, schema, variant, other)
+        assert len(got) == len(other)
+        assert_allclose([got[x] for x in got], [base[x] for x in got], rtol=1e-12, atol=0.0)
+        assert run("interactions", "--model", tmp_path / "fit" / "model.json",
+                   "--data", tmp_path / f"{variant}.csv", "--schema", schema,
+                   "--focal", "x1", "--out-dir", tmp_path / f"inter_{variant}") == 0
+
+    def test_unseen_level_is_data_error(self, workdir, tmp_path, capsys):
+        schema, rows, _ = self.fit_brands(workdir, tmp_path)
+        line = rows[4][0].replace(f",{rows[4][1]},", ",D,")
+        bad = self.write(tmp_path, "unseen", rows[:4] + [(line, "D")] + rows[5:])
+        assert run("report", "--model", tmp_path / "fit" / "model.json", "--data", bad,
+                   "--schema", schema, "--control", "x2", "--out-dir", tmp_path / "rep") == 3
+        assert "row 5: unknown categorical level 'D'" in capsys.readouterr().err
 
 
 class TestDropRefit:

@@ -210,6 +210,24 @@ class TestSmoothCurve:
         with pytest.raises(ValueError, match="constant"):
             smooth_curve(np.ones(20), np.arange(20.0))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=10, max_value=300),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=4, max_value=25))
+    def test_columns_match_one_at_a_time(self, seed, n, m, n_knots):
+        rng = rng_stream(seed, "sc-multi")
+        x = rng.uniform(-3.0, 3.0, n)
+        Y = rng.standard_normal((n, m)) + np.sin(x)[:, None]
+        grid, values = smooth_curve(x, Y, n_knots=n_knots)
+        assert values.shape == (grid.size, m)
+        for k in range(m):
+            grid_k, values_k = smooth_curve(x, Y[:, k], n_knots=n_knots)
+            assert np.array_equal(grid, grid_k)
+            assert_allclose(values[:, k], values_k, rtol=0.0, atol=1e-12)
+
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(ValueError, match="one row per x"):
+            smooth_curve(np.arange(20.0), np.zeros((19, 2)))
+
     def test_grid_strictly_increasing(self):
         rng = rng_stream(5, "sc")
         x = rng.standard_normal(100)
@@ -224,9 +242,11 @@ class TestInteractionProfiles:
         params = Params(spec.layer_dims)
         params.beta0 = 1.0
         X = rng_stream(6, "ip").standard_normal((200, 3))
-        prof = interaction_profiles(params, spec, X, "x2")
-        assert prof.focal == "x2"
-        assert np.abs(prof.curves).max() < 1e-12
+        profiles = interaction_profiles(params, spec, X, ["x2", "x3", "x1"])
+        assert [prof.focal for prof in profiles] == ["x2", "x3", "x1"]
+        for prof in profiles:
+            assert prof.curves.shape == (3, 200)
+            assert np.abs(prof.curves).max() < 1e-12
 
     def test_known_linear_interaction(self):
         # beta(x) = W^T x with a single off-diagonal entry gives a constant
@@ -235,17 +255,30 @@ class TestInteractionProfiles:
         params = Params(spec.layer_dims)
         params.weights[0][1, 0] = 0.7  # beta_1(x) = 0.7 * x_2
         X = rng_stream(7, "ip").standard_normal((300, 2))
-        prof = interaction_profiles(params, spec, X, "x1")
-        assert np.abs(prof.curves[1] - 0.7).max() < 1e-8
-        assert np.abs(prof.curves[0]).max() < 1e-8
+        x1, x2 = interaction_profiles(params, spec, X, ["x1", "x2"])
+        assert np.abs(x1.curves[1] - 0.7).max() < 1e-8
+        assert np.abs(x1.curves[0]).max() < 1e-8
+        assert np.abs(x2.curves).max() < 1e-8
 
     def test_csv_written(self, tmp_path):
         spec = ModelSpec(q=2, hidden_dims=(4,))
         params = init_params(spec, rng_stream(8, "ip"))
         X = rng_stream(9, "ip").standard_normal((120, 2))
-        prof = interaction_profiles(params, spec, X, "x1", feature_names=["x1", "x2"])
+        [prof] = interaction_profiles(params, spec, X, ["x1"], feature_names=["x1", "x2"])
         path = tmp_path / "prof.csv"
         prof.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,d_x1_d_x1,d_x1_d_x2"
         assert len(lines) == 201
+
+    def test_bare_string_focal_raises(self):
+        spec = ModelSpec(q=2)
+        X = rng_stream(10, "ip").standard_normal((50, 2))
+        with pytest.raises(TypeError, match="sequence of feature names"):
+            interaction_profiles(Params(spec.layer_dims), spec, X, "x1")
+
+    def test_unknown_focal_raises(self):
+        spec = ModelSpec(q=2)
+        X = rng_stream(11, "ip").standard_normal((50, 2))
+        with pytest.raises(ValueError, match="unknown focal feature 'x3'"):
+            interaction_profiles(Params(spec.layer_dims), spec, X, ["x1", "x3"])

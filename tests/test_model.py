@@ -10,18 +10,17 @@ from localglmnet import (
     Params,
     attention,
     batch_input_jacobian,
-    contributions,
     fit_glm,
     forward,
     get_family,
     init_params,
-    input_jacobian,
     load_model,
     loss_and_param_grads,
     rng_stream,
     save_model,
 )
 from localglmnet.errors import ConfigError, NumericError
+from localglmnet.train import TrainConfig, nadam_step
 
 
 def zero_params(spec, beta0=0.0):
@@ -30,12 +29,27 @@ def zero_params(spec, beta0=0.0):
     return params
 
 
-def fd_param_grads(params, spec, X, y, v=None, h=1e-5):
-    """Central finite differences over every parameter entry."""
-    family = get_family(spec.family)
+def family_loss(params, spec, X, y, v=None):
+    return get_family(spec.family).loss(y, forward(params, spec, X, v).mu, v)
 
+
+def extended_loss(params, spec, X, y, v=None):
+    """The family's loss continued linearly in eta past the clamp window.
+
+    Beyond |eta| = eta_max each row adds its clamped score 2 (mu_c - y) / n
+    times its distance past the window: the loss whose exact gradient
+    loss_and_param_grads returns.
+    """
+    family = get_family(spec.family)
+    tr = forward(params, spec, X, v)
+    past = tr.eta - np.clip(tr.eta, -family.eta_max, family.eta_max)
+    return family.loss(y, tr.mu, v) + np.mean(2.0 * (tr.mu - y) * past)
+
+
+def fd_param_grads(params, spec, X, y, v=None, h=1e-5, loss=family_loss):
+    """Central finite differences of ``loss`` over every parameter entry."""
     def loss_at(p):
-        return family.loss(y, forward(p, spec, X, v).mu, v)
+        return loss(p, spec, X, y, v)
 
     grads = zero_params(spec)
     for i in range(params.flat.size):
@@ -181,14 +195,14 @@ class TestAttentionAndContributions:
         params = init_params(spec, rng)
         X = rng.standard_normal((7, 4))
         X[:, 2] = 0.0
-        assert np.all(contributions(params, spec, X)[:, 2] == 0.0)
+        assert np.all((attention(params, spec, X) * X)[:, 2] == 0.0)
 
     def test_contribution_rows_sum_to_eta(self):
         rng = rng_stream(6, "contrib")
         spec = ModelSpec(q=5, hidden_dims=(7,))
         params = init_params(spec, rng, output_bias=0.4)
         X = rng.standard_normal((50, 5))
-        total = contributions(params, spec, X).sum(axis=1) + params.beta0
+        total = (attention(params, spec, X) * X).sum(axis=1) + params.beta0
         assert np.abs(total - forward(params, spec, X).eta).max() < 1e-12
 
 
@@ -218,9 +232,8 @@ class TestParamGradients:
 
     def test_poisson_clamp_and_exposure_match_finite_differences(self):
         # A large attention bias on feature 0 pushes eta past the clamp on the
-        # rows where |x_0| is large; those rows must contribute nothing. The
-        # finite differences run below the window, where mu = v exp(-30) keeps
-        # the loss small enough to difference.
+        # rows where |x_0| is large. There the gradient is that of the deviance
+        # continued linearly in eta, below the window and then above it too.
         rng = rng_stream(7, "fd-clamp")
         spec = ModelSpec(q=3, hidden_dims=(5,), family="poisson")
         params = init_params(spec, rng, output_bias=0.1)
@@ -233,11 +246,30 @@ class TestParamGradients:
         clamped = np.abs(forward(params, spec, X, v).eta) > eta_max
         assert clamped[:3].all() and not clamped[3:].any()
         _, grads = loss_and_param_grads(params, spec, X, y, v)
-        assert_grads_close(grads, fd_param_grads(params, spec, X, y, v))
+        assert_grads_close(grads, fd_param_grads(params, spec, X, y, v, loss=extended_loss))
         X[:2, 0] = [3.0, 4.0]  # above the window too
         assert (np.abs(forward(params, spec, X[:3], v[:3]).eta) > eta_max).all()
         _, grads = loss_and_param_grads(params, spec, X[:3], y[:3], v[:3])
-        assert np.all(grads.flat == 0.0)
+        assert_grads_close(grads, fd_param_grads(params, spec, X[:3], y[:3], v[:3],
+                                                 loss=extended_loss))
+
+    def test_nadam_pulls_clamped_row_back_into_window(self):
+        # beta(x) = W x + b with x = 1 puts eta = beta0 + W + b at 40, past the
+        # window; the kept score drives every step back toward it.
+        spec = ModelSpec(q=1, family="poisson")
+        params = zero_params(spec)
+        params.biases[0][:] = 40.0
+        X, y, v = np.ones((1, 1)), np.ones(1), np.ones(1)
+        config = TrainConfig(learning_rate=1.0)
+        m, s = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        etas = [forward(params, spec, X, v).eta[0]]
+        for t in range(1, 6):
+            _, grads = loss_and_param_grads(params, spec, X, y, v)
+            nadam_step(params, grads, m, s, t, config)
+            etas.append(forward(params, spec, X, v).eta[0])
+        assert etas[0] == 40.0
+        assert np.all(np.diff(etas) < 0.0)
+        assert abs(etas[-1]) < get_family("poisson").eta_max
 
     def test_gradient_is_descent_direction(self):
         rng = rng_stream(8, "desc")
@@ -274,7 +306,7 @@ class TestParamGradients:
 class TestInputJacobian:
     def test_zero_tower_zero_jacobian(self):
         spec = ModelSpec(q=4, hidden_dims=(5,))
-        J = input_jacobian(zero_params(spec), spec, np.ones(4))
+        J = batch_input_jacobian(zero_params(spec), spec, np.ones((1, 4)))[0]
         assert np.all(J == 0.0)
 
     def test_depth_one_linear_tower(self):
@@ -283,7 +315,7 @@ class TestInputJacobian:
         params = zero_params(spec)
         params.weights[0][:] = rng.standard_normal((4, 4))
         params.biases[0][:] = rng.standard_normal(4)
-        J = input_jacobian(params, spec, rng.standard_normal(4))
+        J = batch_input_jacobian(params, spec, rng.standard_normal((1, 4)))[0]
         assert_allclose(J, params.weights[0].T, atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -291,7 +323,7 @@ class TestInputJacobian:
         spec = ModelSpec(q=5, hidden_dims=(7, 6))
         params = init_params(spec, rng)
         x = rng.standard_normal(5)
-        J = input_jacobian(params, spec, x)
+        J = batch_input_jacobian(params, spec, x[None])[0]
         h = 1e-5
         for k in range(5):
             xp, xm = x.copy(), x.copy()
@@ -308,7 +340,8 @@ class TestInputJacobian:
         X = rng.standard_normal((9, 3))
         JB = batch_input_jacobian(params, spec, X)
         for i in range(9):
-            assert_allclose(JB[i], input_jacobian(params, spec, X[i]), atol=1e-14)
+            assert_allclose(JB[i], batch_input_jacobian(params, spec, X[i][None])[0],
+                            atol=1e-14)
 
 
 class TestSerialization:
