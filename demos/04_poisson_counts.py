@@ -25,12 +25,12 @@ ds = lg.Dataset(X=X, y=y, v=v, feature_names=names,
 print(f"{N} instances, mean exposure {v.mean():.3f}, mean count {y.mean():.3f}")
 
 null = lg.fit_null(ds.y, ds.v, lg.get_family("poisson"))
-null_dev = lg.poisson_deviance(ds.y, ds.v * null, ds.v)
+null_dev = lg.poisson_deviance(ds.y, ds.v * null)
 print(f"null frequency {null:.4f}, null deviance {null_dev:.4f}")
 
 glm = lg.fit_glm(ds.X, ds.y, ds.v, lg.get_family("poisson"), column_names=names)
 glm_mu = glm.predict(ds.X, ds.v)
-print(f"GLM deviance {lg.poisson_deviance(ds.y, glm_mu, ds.v):.4f} "
+print(f"GLM deviance {lg.poisson_deviance(ds.y, glm_mu):.4f} "
       f"(slopes {np.round(glm.beta, 3).tolist()})")
 
 spec = lg.ModelSpec(q=4, hidden_dims=(15, 10), family="poisson")  # log link

@@ -18,6 +18,7 @@ from .data import (
     load_csv,
     load_schema,
     one_hot,
+    read_config,
     standardize,
     synth_generate,
     synth_schema,
@@ -63,7 +64,6 @@ from .train import (
     TrainHistory,
     evaluate_loss,
     fit,
-    load_train_config,
     nadam_step,
     split_learn,
 )
@@ -78,11 +78,11 @@ __all__ = [
     "ModelSpec", "Params", "init_params", "forward", "attention",
     "loss_and_param_grads", "batch_input_jacobian", "save_model", "load_model",
     "TrainConfig", "TrainHistory", "split_learn", "nadam_step",
-    "evaluate_loss", "fit", "load_train_config",
+    "evaluate_loss", "fit",
     "selection_stats", "interval", "coverage_and_verdict", "selection_report",
     "SelectionReport", "ImportanceReport", "variable_importance",
     "smooth_curve", "InteractionProfile", "interaction_profiles",
-    "Schema", "Dataset", "StandardizeParams", "load_schema", "load_csv",
+    "Schema", "Dataset", "StandardizeParams", "load_schema", "load_csv", "read_config",
     "write_csv", "one_hot", "standardize", "apply_standardize",
     "add_control", "true_mu", "synth_schema", "synth_generate",
 ]

@@ -27,7 +27,7 @@ from .families import fit_glm, fit_null, get_family
 from .interpret import interaction_profiles, selection_report, variable_importance
 from .linalg import rng_stream
 from .model import ModelSpec, attention, load_model, save_model
-from .train import TrainConfig, evaluate_loss, fit, load_train_config
+from .train import TrainConfig, evaluate_loss, fit
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -39,23 +39,6 @@ def _write(path, text):
 
 def _write_kv(path, pairs):
     _write(path, "".join(f"{k} = {v}\n" for k, v in pairs))
-
-
-def _load_model_spec(path, q):
-    kv = data_mod.read_key_values(path)
-    known = {"hidden_dims", "activations", "family", "link"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown model options {sorted(unknown)}")
-    hidden = tuple(int(s) for s in kv["hidden_dims"].split(",") if s.strip()) \
-        if kv.get("hidden_dims") else ()
-    acts = tuple(s.strip() for s in kv["activations"].split(",")) \
-        if kv.get("activations") else None
-    try:
-        return ModelSpec(q=q, hidden_dims=hidden, activations=acts,
-                         family=kv.get("family", "gaussian"), link=kv.get("link"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _prepare_datasets(args, schema, seed):
@@ -102,11 +85,11 @@ def cmd_synth(args):
 
 def _fit_pipeline(args, schema):
     os.makedirs(args.out_dir, exist_ok=True)
-    config = load_train_config(args.train_config)
+    config = data_mod.read_config(args.train_config, TrainConfig)
     if args.seed is not None:
         config.seed = args.seed
     learn_raw, test_raw, learn, test, std_params = _prepare_datasets(args, schema, config.seed)
-    spec = _load_model_spec(args.spec, q=learn.q)
+    spec = data_mod.read_config(args.spec, ModelSpec, q=learn.q)
     family = get_family(spec.family)
     if family.name == "poisson":
         for path, ds in ((args.learn, learn_raw), (args.test, test_raw)):
@@ -123,17 +106,16 @@ def _fit_pipeline(args, schema):
     if args.synthetic_truth:
         if learn_raw.feature_names[:8] != [f"x{j}" for j in range(1, 9)]:
             raise ConfigError("--synthetic-truth needs feature columns x1..x8")
-        rows.append(row("true", lambda ds: family.loss(ds.y, data_mod.true_mu(ds.X[:, :8]), ds.v),
+        rows.append(row("true", lambda ds: family.loss(ds.y, data_mod.true_mu(ds.X[:, :8])),
                         (learn_raw, test_raw)))
 
     null_value = fit_null(learn.y, learn.v, family)
     rows.append(row("null", lambda ds: family.loss(
-        ds.y, ds.v * null_value if family.uses_exposure else np.full(ds.n, null_value), ds.v)))
+        ds.y, ds.v * null_value if family.uses_exposure else np.full(ds.n, null_value))))
 
     Xg, glm_names = _glm_design(learn)
     glm = fit_glm(Xg, learn.y, learn.v, family, column_names=glm_names)
-    rows.append(row("glm", lambda ds: family.loss(ds.y, glm.predict(_glm_design(ds)[0], ds.v),
-                                                  ds.v)))
+    rows.append(row("glm", lambda ds: family.loss(ds.y, glm.predict(_glm_design(ds)[0], ds.v))))
 
     params, history = fit(learn, spec, config)
     rows.append(row("localglmnet", lambda ds: evaluate_loss(params, spec, ds)))
@@ -192,6 +174,17 @@ def _report_dataset(args, preprocess):
     return dataset
 
 
+def _subsample(args, n):
+    """Row selector for ``--sample``: a seeded draw of that many rows, sorted,
+    or every row when it is 0 or at least n (a larger value warns)."""
+    if args.sample > n:
+        print(f"warning: sample {args.sample} exceeds n={n}; clamped", file=sys.stderr)
+    if args.sample == 0 or args.sample >= n:
+        return slice(None)
+    return np.sort(rng_stream(args.seed, "subsample").choice(n, size=args.sample,
+                                                             replace=False))
+
+
 def cmd_report(args):
     if args.sample < 1:
         raise ConfigError(f"--sample must be >= 1, got {args.sample}")
@@ -225,12 +218,7 @@ def cmd_report(args):
                        [importance.vi[j] for j in order],
                        title="Variable importance", ylabel="mean |attention|"))
 
-    n_sample = min(args.sample, dataset.n)
-    if args.sample > dataset.n:
-        print(f"warning: sample {args.sample} exceeds n={dataset.n}; clamped",
-              file=sys.stderr)
-    pick = np.sort(rng_stream(args.seed, "subsample").choice(dataset.n, size=n_sample,
-                                                             replace=False))
+    pick = _subsample(args, dataset.n)
     ylim_beta = (float(beta[pick][:, std_cols].min()) - 0.05,
                  float(beta[pick][:, std_cols].max()) + 0.05)
     ylim_contrib = (float(contrib[pick][:, std_cols].min()) - 0.05,
@@ -260,8 +248,9 @@ def cmd_report(args):
         for j in cols:
             level = dataset.feature_names[j].split("=", 1)[1]
             on = beta[dataset.X[:, j] == 1.0, j]
-            summary = (np.percentile(on, [0, 25, 50, 75, 100]) if on.size
-                       else np.zeros(5))
+            if not on.size:  # a training level absent from this CSV
+                continue
+            summary = np.percentile(on, [0, 25, 50, 75, 100])
             rows.append([level] + [repr(float(s)) for s in summary] + [int(on.size)])
             boxes.append((level, summary))
         data_mod.write_rows(os.path.join(args.out_dir, f"onehot_{group}.csv"),
@@ -281,17 +270,11 @@ def cmd_interactions(args):
     if preprocess is None:
         raise ConfigError(f"{args.model}: model file carries no preprocessing block")
     dataset = _report_dataset(args, preprocess)
-    X = dataset.X
-    if args.sample and args.sample < dataset.n:
-        pick = np.sort(rng_stream(args.seed, "subsample").choice(dataset.n,
-                                                                 size=args.sample,
-                                                                 replace=False))
-        X = X[pick]
+    X = dataset.X[_subsample(args, dataset.n)]
     std_names = [n for n, k in zip(dataset.feature_names, dataset.feature_kinds)
                  if k in data_mod.STANDARDIZED_KINDS]
     focal = [s.strip() for s in args.focal.split(",")] if args.focal else std_names
-    profiles = interaction_profiles(params, spec, X, focal,
-                                    feature_names=dataset.feature_names, n_knots=args.knots)
+    profiles = interaction_profiles(params, spec, X, focal, feature_names=dataset.feature_names)
     for name, profile in zip(focal, profiles):
         profile.write_csv(os.path.join(args.out_dir, f"interaction_{name}.csv"))
         curves = [(k, profile.curves[i]) for i, k in enumerate(profile.feature_names)]
@@ -356,7 +339,6 @@ def build_parser():
     p.add_argument("--schema", required=True)
     p.add_argument("--focal", help="comma-separated focal features (default: all standardized)")
     p.add_argument("--sample", type=int, default=0, help="cap instances (0 = all)")
-    p.add_argument("--knots", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_interactions)

@@ -17,11 +17,14 @@ standardized with learning-set moments; one-hot columns stay 0/1.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import re
+import types
 import warnings
 from dataclasses import dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "parse_schema",
     "load_schema",
     "read_key_values",
+    "read_config",
     "load_csv",
     "write_csv",
     "write_rows",
@@ -149,6 +153,43 @@ def read_key_values(path) -> dict:
     return out
 
 
+def _cast(text: str, kind):
+    """Read one config value as the field type ``kind``."""
+    if get_origin(kind) is tuple:  # tuple[int, ...]: comma-separated items
+        return tuple(get_args(kind)[0](s.strip()) for s in text.split(",") if s.strip())
+    if get_origin(kind) is types.UnionType:  # int | None
+        kind = get_args(kind)[0]
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    return kind(text)
+
+
+def read_config(path, cls, **fixed):
+    """Build the dataclass ``cls`` from a ``key = value`` file.
+
+    Each key names a field of ``cls`` other than those in ``fixed``, which
+    are passed as given; each value is cast to its field's type. Every error
+    (unknown key, uncastable value, value the constructor rejects) raises
+    ConfigError naming the file and the key.
+    """
+    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
+    kwargs = dict(fixed)
+    for key, text in read_key_values(path).items():
+        if key not in kinds:
+            raise ConfigError(f"{path}: unknown option {key!r}; expected one of "
+                              f"{sorted(kinds)}")
+        try:
+            kwargs[key] = _cast(text, kinds[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: cannot read {text!r}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 @dataclass
 class StandardizeParams:
     """Per-column moments learned on the learning split (sample sd, n-1)."""
@@ -199,11 +240,12 @@ class Dataset:
                        groups={k: list(v) for k, v in self.groups.items()})
 
 
-def one_hot(values, levels=None):
+def one_hot(values, levels=None, column=None):
     """Indicator matrix for a categorical column, one column per level.
 
     No reference level is dropped: every row has exactly one 1. When
-    ``levels`` is given it pins the column order and unseen values raise.
+    ``levels`` is given it pins the column order and unseen values raise,
+    naming the row and, when given, the ``column``.
     Returns ``(matrix, levels)``.
     """
     values = list(values)
@@ -218,7 +260,8 @@ def one_hot(values, levels=None):
         index = set(levels)
         for i, val in enumerate(values):
             if val not in index:
-                raise DataError(f"row {i + 1}: unknown categorical level {val!r}")
+                where = f"row {i + 1}" + ("" if column is None else f", column {column!r}")
+                raise DataError(f"{where}: unknown categorical level {val!r}")
     pos = {lv: j for j, lv in enumerate(levels)}
     mat = np.zeros((len(values), len(levels)))
     for i, val in enumerate(values):
@@ -328,7 +371,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     cols, names, kinds, groups = [], [], [], {}
     for c in schema.feature_columns:
         if c.kind == "categorical":
-            mat, levels = one_hot(raw[c.name], c.levels)
+            mat, levels = one_hot(raw[c.name], c.levels, c.name)
             start = len(names)
             for k, lv in enumerate(levels):
                 cols.append(mat[:, k])

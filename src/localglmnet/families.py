@@ -27,6 +27,9 @@ __all__ = [
     "GlmFit",
 ]
 
+GLM_MAX_ITER = 100
+GLM_TOL = 1e-10
+
 
 class Gaussian:
     """Gaussian family: quadratic cumulant, identity canonical link, MSE loss."""
@@ -45,7 +48,7 @@ class Gaussian:
     def variance(self, mu):
         return np.ones_like(mu)
 
-    def loss(self, y, mu, v=None):
+    def loss(self, y, mu):
         return mse_loss(y, mu)
 
 
@@ -70,8 +73,8 @@ class Poisson:
     def variance(self, mu):
         return mu
 
-    def loss(self, y, mu, v=None):
-        return poisson_deviance(y, mu, v)
+    def loss(self, y, mu):
+        return poisson_deviance(y, mu)
 
 
 _FAMILIES = {"gaussian": Gaussian(), "poisson": Poisson()}
@@ -95,12 +98,11 @@ def mse_loss(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.mean((y - mu) ** 2))
 
 
-def poisson_deviance(y: np.ndarray, mu: np.ndarray, v: np.ndarray | None = None) -> float:
+def poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     """Mean Poisson deviance (2/n) sum (mu_i - y_i - y_i log(mu_i / y_i)).
 
-    The y_i = 0 term is read as plain mu_i (the y log y -> 0 limit). The
-    exposure vector is accepted for interface symmetry and validation only;
-    it already enters through mu = v * exp(eta).
+    The y_i = 0 term is read as plain mu_i (the y log y -> 0 limit).
+    Exposures enter through the mean, mu = v * exp(eta).
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -112,8 +114,6 @@ def poisson_deviance(y: np.ndarray, mu: np.ndarray, v: np.ndarray | None = None)
         raise ValueError("Poisson deviance requires mu > 0")
     if np.any(y < 0.0):
         raise ValueError("Poisson deviance requires y >= 0")
-    if v is not None and np.any(np.asarray(v, dtype=float) <= 0.0):
-        raise ValueError("exposures must be positive")
     terms = mu - y
     pos = y > 0
     terms[pos] -= y[pos] * np.log(mu[pos] / y[pos])
@@ -180,16 +180,15 @@ def fit_glm(
     v: np.ndarray | None = None,
     family=None,
     column_names=None,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> GlmFit:
     """Fit a GLM by IRLS with step-halving.
 
     The link is the family's canonical one, so the IRLS weight is the
     variance function V(mu). Exposure is treated as an offset log(v) when
-    the family uses one. Converges
-    when the relative deviance change drops below ``tol``; rank-deficient
-    designs raise :class:`NumericError` naming the collinear columns.
+    the family uses one; exposures must then be positive. Converges when
+    the relative deviance change drops below ``GLM_TOL`` (at most
+    ``GLM_MAX_ITER`` iterations); rank-deficient designs raise
+    :class:`NumericError` naming the collinear columns.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -199,6 +198,8 @@ def fit_glm(
 
     design = np.column_stack([np.ones(n), X])
     _check_full_rank(design, column_names)
+    if family.uses_exposure and np.any(v <= 0.0):
+        raise ValueError("exposures must be positive")
     offset = np.log(v) if family.uses_exposure else np.zeros(n)
 
     # Null start: intercept at the link-scale null value, slopes zero.
@@ -208,10 +209,10 @@ def fit_glm(
     def mean_of(c):
         return family.inv(design @ c + offset)
 
-    dev = family.loss(y, mean_of(coef), v)
+    dev = family.loss(y, mean_of(coef))
     n_iter = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n_iter in range(1, max_iter + 1):
+        for n_iter in range(1, GLM_MAX_ITER + 1):
             eta = design @ coef + offset
             mu = family.inv(eta)
             w = family.variance(mu)
@@ -224,7 +225,7 @@ def fit_glm(
             for _ in range(30):
                 cand = coef + step
                 try:
-                    new_dev = family.loss(y, mean_of(cand), v)
+                    new_dev = family.loss(y, mean_of(cand))
                 except ValueError:
                     new_dev = np.inf
                 if np.isfinite(new_dev) and new_dev <= dev + 1e-14 * max(1.0, abs(dev)):
@@ -232,7 +233,7 @@ def fit_glm(
                 step = step / 2.0
             coef = coef + step
             prev, dev = dev, float(new_dev if np.isfinite(new_dev) else dev)
-            if abs(prev - dev) <= tol * max(1.0, abs(prev)):
+            if abs(prev - dev) <= GLM_TOL * max(1.0, abs(prev)):
                 break
     return GlmFit(beta0=float(coef[0]), beta=coef[1:].copy(), deviance=dev, n_iter=n_iter,
                   family=family)

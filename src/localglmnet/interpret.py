@@ -33,7 +33,9 @@ __all__ = [
 # multiple of alpha; the raw coverage is always reported alongside.
 DROP_MARGIN = 2.0
 
-# Roughness penalty weight and number of grid points of every smoothed curve.
+# Interior knot count, roughness penalty weight and number of grid points
+# of every smoothed curve.
+N_KNOTS = 20
 SMOOTHING = 1.0
 GRID_SIZE = 200
 
@@ -163,14 +165,14 @@ def _greville(knots: np.ndarray, degree: int) -> np.ndarray:
                      for j in range(len(knots) - degree - 1)])
 
 
-def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20):
+def smooth_curve(x: np.ndarray, y: np.ndarray):
     """Penalized cubic B-spline regression of y on x, evaluated on a grid.
 
-    Interior knots sit at empirical quantiles of x. The roughness penalty
-    is on divided second differences of the coefficients over the Greville
-    sites (scaled to match plain second differences at uniform spacing),
-    so constants and straight lines are reproduced exactly for any knot
-    layout. ``y`` is a vector or an (n, m) matrix of m responses, which
+    N_KNOTS interior knots sit at empirical quantiles of x. The roughness
+    penalty is on divided second differences of the coefficients over the
+    Greville sites (scaled to match plain second differences at uniform
+    spacing), so constants and straight lines are reproduced exactly for
+    any knot layout. ``y`` is a vector or an (n, m) matrix of m responses, which
     share one design and one solve. Returns ``(grid, values)`` over
     [min x, max x], with values shaped (GRID_SIZE,) or (GRID_SIZE, m).
     """
@@ -186,7 +188,7 @@ def smooth_curve(x: np.ndarray, y: np.ndarray, n_knots: int = 20):
     if lo == hi:
         raise ValueError("x is constant; cannot fit a curve")
     degree = 3
-    qs = np.linspace(0.0, 1.0, n_knots + 2)[1:-1]
+    qs = np.linspace(0.0, 1.0, N_KNOTS + 2)[1:-1]
     interior = np.unique(np.quantile(x, qs))
     interior = interior[(interior > lo) & (interior < hi)]
     knots = np.r_[[lo] * (degree + 1), interior, [hi] * (degree + 1)]
@@ -234,7 +236,7 @@ class InteractionProfile:
 
 
 def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,
-                         feature_names=None, n_knots: int = 20) -> list:
+                         feature_names=None) -> list:
     """Input-Jacobian sensitivities of the focal attentions, each smoothed
     against its own feature.
 
@@ -255,7 +257,7 @@ def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,
     profiles = []
     for name in focal:
         j = names.index(name)
-        grid, values = smooth_curve(X[:, j], jac[:, j, :], n_knots=n_knots)
+        grid, values = smooth_curve(X[:, j], jac[:, j, :])
         profiles.append(InteractionProfile(focal=name, feature_names=names,
                                            grid=grid, curves=values.T))
     return profiles

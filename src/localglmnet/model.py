@@ -48,8 +48,8 @@ class ModelSpec:
     """
 
     q: int
-    hidden_dims: tuple = ()
-    activations: tuple = None
+    hidden_dims: tuple[int, ...] = ()
+    activations: tuple[str, ...] = None
     family: str = "gaussian"
     link: str = None
 
@@ -58,17 +58,17 @@ class ModelSpec:
             raise ValueError(f"feature dimension must be >= 1, got {self.q}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
+            raise ValueError(f"hidden_dims must be >= 1, got {self.hidden_dims}")
         depth = len(self.hidden_dims) + 1
         if self.activations is None:
             acts = ("tanh",) * (depth - 1) + ("linear",)
         else:
             acts = tuple(self.activations)
         if len(acts) != depth:
-            raise ValueError(f"need {depth} activation tags, got {len(acts)}")
+            raise ValueError(f"activations needs {depth} tags, got {len(acts)}")
         for a in acts:
             if a not in _ACTIVATIONS:
-                raise ValueError(f"unsupported activation {a!r}; choose from {_ACTIVATIONS}")
+                raise ValueError(f"activations: unsupported {a!r}; choose from {_ACTIVATIONS}")
         object.__setattr__(self, "activations", acts)
         canonical = get_family(self.family).link
         if self.link not in (None, canonical):
@@ -223,7 +223,7 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
         raise ValueError("empty batch")
     family = get_family(spec.family)
     trace = forward(params, spec, X, v)
-    loss = family.loss(y, trace.mu, v)
+    loss = family.loss(y, trace.mu)
 
     # Under a canonical link dL/deta is the score 2 (mu - y) / n, exposure
     # included. Outside the clamp window the score of the clamped mean is

@@ -127,18 +127,18 @@ def scatter_svg(x, y, title="", xlabel="", ylabel="", hlines=(), ylim=None) -> s
     return _document(body)
 
 
-def line_svg(grid, curves, title="", xlabel="", ylabel="", zero_line=True) -> str:
-    """Overlaid line plot; ``curves`` is a list of (label, values) pairs."""
+def line_svg(grid, curves, title="", xlabel="", ylabel="") -> str:
+    """Overlaid line plot over a dashed zero line; ``curves`` is a list of
+    (label, values) pairs."""
     grid = np.asarray(grid, dtype=float)
     allvals = np.concatenate([np.asarray(v, dtype=float) for _, v in curves])
     xlo, xhi = float(grid.min()), float(grid.max())
-    ylo, yhi = _span(np.r_[allvals, 0.0] if zero_line else allvals)
+    ylo, yhi = _span(np.r_[allvals, 0.0])
     ax = _Axes(xlo, xhi, ylo, yhi)
     body = ax.frame(title, xlabel, ylabel)
-    if zero_line:
-        yy = ax.py(0.0)
-        body.append(f'<line x1="{MARGIN_L}" y1="{_fmt(yy)}" x2="{WIDTH - MARGIN_R}" '
-                    f'y2="{_fmt(yy)}" stroke="#aaa" stroke-dasharray="4 3"/>')
+    yy = ax.py(0.0)
+    body.append(f'<line x1="{MARGIN_L}" y1="{_fmt(yy)}" x2="{WIDTH - MARGIN_R}" '
+                f'y2="{_fmt(yy)}" stroke="#aaa" stroke-dasharray="4 3"/>')
     for i, (label, values) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{_fmt(ax.px(g))},{_fmt(ax.py(v))}"

@@ -21,7 +21,6 @@ from .model import ModelSpec, Params, init_params, forward, loss_and_param_grads
 __all__ = [
     "TrainConfig",
     "TrainHistory",
-    "load_train_config",
     "split_indices",
     "split_learn",
     "nadam_step",
@@ -29,13 +28,13 @@ __all__ = [
     "fit",
 ]
 
+# Nadam's moment decays and denominator guard: the Keras defaults (Dozat 2016).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-7
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
     batch_size: int = 5000
     max_epochs: int = 100
     val_fraction: float = 0.2
@@ -46,11 +45,6 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -59,32 +53,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-
-
-def load_train_config(path) -> TrainConfig:
-    """Build a TrainConfig from a plain key = value file."""
-    from .data import read_key_values
-
-    kv = read_key_values(path)
-    kwargs = {}
-    casts = {
-        "learning_rate": float, "beta1": float, "beta2": float, "eps": float,
-        "batch_size": int, "max_epochs": int, "val_fraction": float,
-        "seed": int, "patience": int,
-    }
-    for key, value in kv.items():
-        if key == "shuffle":
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"shuffle must be true or false, got {value!r}")
-            kwargs[key] = value.lower() == "true"
-        elif key in casts:
-            try:
-                kwargs[key] = casts[key](value)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {value!r}") from None
-        else:
-            raise ConfigError(f"unknown training option {key!r}")
-    return TrainConfig(**kwargs)
 
 
 @dataclass
@@ -148,20 +116,20 @@ def nadam_step(params: Params, grads: Params, m: np.ndarray, v: np.ndarray, t: i
     g = grads.flat
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient in optimizer step")
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
+    b1, b2, lr = BETA1, BETA2, config.learning_rate
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
     m_hat = b1 * m / (1.0 - b1 ** (t + 1)) + (1.0 - b1) * g / (1.0 - b1 ** t)
-    params.flat -= lr * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    params.flat -= lr * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + EPS)
 
 
 def evaluate_loss(params: Params, spec: ModelSpec, dataset) -> float:
     """Mean deviance of the model on a dataset."""
     family = get_family(spec.family)
     trace = forward(params, spec, dataset.X, dataset.v)
-    return family.loss(dataset.y, trace.mu, dataset.v)
+    return family.loss(dataset.y, trace.mu)
 
 
 def fit(dataset, spec: ModelSpec, config: TrainConfig):

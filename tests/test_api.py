@@ -1,14 +1,17 @@
-"""The public surface: every exported name resolves, and the demos and the
-README's python examples use only real names."""
+"""The public surface: every exported name resolves, the demos and the
+README's python examples use only real names, every shipped or documented
+config file loads, and every documented command line parses."""
 
 import ast
 import importlib
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import localglmnet as lg
+from localglmnet.cli import build_parser
 
 ROOT = pathlib.Path(__file__).parent.parent
 MODULES = ["data", "families", "interpret", "linalg", "model", "svg", "train"]
@@ -47,3 +50,46 @@ def test_readme_attributes_exist():
 
 def test_demos_found():
     assert len(DEMOS) >= 4
+
+
+CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.cfg"))
+
+# The config files the benchmark writes (perfbench/workloads.py), copied as
+# text: a removed key would make every benchmark run exit 2.
+BENCHMARK_CONFIGS = [
+    (lg.TrainConfig, "learning_rate = 0.002\nbatch_size = 500\n"
+                     "max_epochs = 60\nval_fraction = 0.2\nseed = 8\nshuffle = true\n"),
+    (lg.ModelSpec, "hidden_dims = 15,10\nfamily = poisson\nlink = log\n"),
+]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_demo_config_loads(path):
+    cls = lg.TrainConfig if path.name.startswith("train") else lg.ModelSpec
+    fixed = {"q": 8} if cls is lg.ModelSpec else {}
+    assert isinstance(lg.read_config(path, cls, **fixed), cls)
+
+
+@pytest.mark.parametrize("cls, text", BENCHMARK_CONFIGS, ids=["train", "model"])
+def test_benchmark_config_loads(tmp_path, cls, text):
+    path = tmp_path / "bench.cfg"
+    path.write_text(text)
+    fixed = {"q": 4} if cls is lg.ModelSpec else {}
+    assert isinstance(lg.read_config(path, cls, **fixed), cls)
+
+
+def command_lines(text):
+    """Arguments of every ``localglmnet ...`` line, continuation lines joined."""
+    return [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+            if line.startswith("localglmnet ")]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "demos/05_cli_pipeline.sh"])
+def test_documented_command_lines_parse(doc):
+    commands = command_lines((ROOT / doc).read_text(encoding="utf-8"))
+    assert commands, f"{doc} shows no localglmnet command"
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc}: the parser rejects {shlex.join(argv)}")

@@ -266,6 +266,18 @@ class TestInteractions:
         assert calls == [300]
         assert len(os.listdir(out)) == 2 * 8
 
+    def test_sample_above_n_clamped_with_warning(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        common = ("interactions", "--model", fit_dir / "model.json", "--data",
+                  synth_dir / "learn.csv", "--schema", workdir / "schema.txt", "--focal", "x1,x4")
+        assert run(*common, "--sample", 0, "--out-dir", workdir / "all") == 0
+        assert "warning" not in capsys.readouterr().err
+        assert run(*common, "--sample", 5000, "--out-dir", workdir / "big") == 0
+        assert "warning: sample 5000 exceeds n=300; clamped" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir / "big")) == sorted(os.listdir(workdir / "all"))
+        for name in os.listdir(workdir / "all"):
+            assert (workdir / "big" / name).read_bytes() == (workdir / "all" / name).read_bytes()
+
     def test_negative_sample_is_config_error(self, workdir, capsys):
         synth_dir, fit_dir = fit_small(workdir, n=300)
         out = workdir / "inter_neg"
@@ -330,7 +342,18 @@ class TestCategoricalLevels:
         bad = self.write(tmp_path, "unseen", rows[:4] + [(line, "D")] + rows[5:])
         assert run("report", "--model", tmp_path / "fit" / "model.json", "--data", bad,
                    "--schema", schema, "--control", "x2", "--out-dir", tmp_path / "rep") == 3
-        assert "row 5: unknown categorical level 'D'" in capsys.readouterr().err
+        assert "row 5, column 'brand': unknown categorical level 'D'" in capsys.readouterr().err
+
+    def test_absent_level_left_out_of_boxplot(self, workdir, tmp_path):
+        schema, rows, _ = self.fit_brands(workdir, tmp_path)
+        self.attentions(tmp_path, schema, "all_levels", rows)
+        self.attentions(tmp_path, schema, "without_b", [r for r in rows if r[1] != "B"])
+        full = (tmp_path / "rep_all_levels" / "onehot_brand.csv").read_bytes().splitlines()
+        part = (tmp_path / "rep_without_b" / "onehot_brand.csv").read_bytes().splitlines()
+        assert part == [line for line in full if not line.startswith(b"B,")]
+        assert len(part) == 3
+        svg = (tmp_path / "rep_without_b" / "onehot_brand.svg").read_text()
+        assert ">A</text>" in svg and ">C</text>" in svg and ">B</text>" not in svg
 
 
 class TestDropRefit:
@@ -361,6 +384,29 @@ class TestExitCodes:
                    "--spec", workdir / "model.cfg",
                    "--train-config", workdir / "missing.cfg",
                    "--out-dir", workdir / "x") in (2, 3)
+
+    @pytest.mark.parametrize("name, line, key", [
+        ("model.cfg", "hidden_dims = 20,x", "hidden_dims"),
+        ("model.cfg", "hidden_dims = 20,0", "hidden_dims"),
+        ("model.cfg", "activations = tanh,relu,linear", "activations"),
+        ("model.cfg", "family = gamma", "family"),
+        ("model.cfg", "hidden_dim = 20", "hidden_dim"),
+        ("train.cfg", "batch_size = x", "batch_size"),
+        ("train.cfg", "learning_rate = -1", "learning_rate"),
+        ("train.cfg", "shuffle = maybe", "shuffle"),
+        ("train.cfg", "learning_rat = 0.002", "learning_rat"),
+        ("train.cfg", "beta1 = 0.9", "beta1"),
+    ])
+    def test_config_file_error_names_file_and_key(self, workdir, capsys, name, line, key):
+        assert run("synth", "--n-learn", 100, "--n-test", 10, "--out-dir", workdir / "s") == 0
+        path = workdir / name
+        kept = [k for k in path.read_text().splitlines() if k.split("=")[0].strip() != key]
+        path.write_text("\n".join(kept + [line]) + "\n")
+        assert run("fit", "--learn", workdir / "s" / "learn.csv", "--schema",
+                   workdir / "schema.txt", "--spec", workdir / "model.cfg",
+                   "--train-config", workdir / "train.cfg", "--out-dir", workdir / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and key in err
 
     def test_data_error_missing_file(self, workdir):
         code = run("fit", "--learn", workdir / "does-not-exist.csv",

@@ -182,7 +182,7 @@ def reference_load_csv(path, schema):
     cols, names, kinds, groups = [], [], [], {}
     for c in schema.feature_columns:
         if c.kind == "categorical":
-            mat, levels = one_hot(raw[c.name], c.levels)
+            mat, levels = one_hot(raw[c.name], c.levels, c.name)
             start = len(names)
             for k, lv in enumerate(levels):
                 cols.append(mat[:, k])
@@ -316,6 +316,32 @@ class TestFastCsvIo:
                               + ("v: exposure\n" if with_v else ""))
         back = load_csv(tmp_path / "new.csv", schema)
         assert back.X.tobytes() == X.tobytes() and back.v.tobytes() == v.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        n, q = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+        edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300,
+                                1e300, -1e300, 1.7976931348623157e308])
+        finite = st.floats(allow_nan=False, allow_infinity=False) | edge
+        cells = data.draw(st.lists(finite, min_size=n * (q + 1), max_size=n * (q + 1)))
+        values = np.array(cells).reshape(n, q + 1)
+        with_v = data.draw(st.booleans())
+        v = (np.array(data.draw(st.lists(st.floats(min_value=5e-324, max_value=1e300),
+                                         min_size=n, max_size=n)))
+             if with_v else np.ones(n))
+        names = [f"x{j}" for j in range(q)]
+        ds = Dataset(X=values[:, :q], y=values[:, q], v=v, feature_names=names,
+                     feature_kinds=["continuous"] * q, groups={})
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_WRITE_CHUNK_ROWS", data.draw(st.integers(1, 5)))
+            write_csv(ds, path)
+        schema = parse_schema("".join(f"{x}: continuous\n" for x in names) + "y: response\n"
+                              + ("" if np.all(v == 1.0) else "v: exposure\n"))
+        back = load_csv(path, schema)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes() and back.v.tobytes() == v.tobytes()
 
 
 class TestOneHot:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,8 +36,7 @@ class TestPoissonDeviance:
 
     def test_zero_count_branch(self):
         # y = 0 contributes 2*mu.
-        assert poisson_deviance(np.array([0.0]), np.array([1.0]),
-                                np.array([1.0])) == pytest.approx(2.0)
+        assert poisson_deviance(np.array([0.0]), np.array([1.0])) == pytest.approx(2.0)
 
     def test_unit_deviance_value(self):
         expected = 2.0 * (2.0 * math.log(2.0) - 1.0)
@@ -144,6 +144,17 @@ class TestFitGlm:
         f2 = fit_glm(X, y, 2.0 * v, fam)
         assert f2.beta0 == pytest.approx(f1.beta0 - math.log(2.0), abs=1e-6)
         assert_allclose(f2.beta, f1.beta, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.0])
+    def test_rejects_nonpositive_exposure_before_log(self, bad):
+        rng = rng_stream(9, "glm-expo")
+        X = rng.standard_normal((40, 2))
+        v = rng.uniform(0.5, 1.0, 40)
+        v[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log(v) would warn first
+            with pytest.raises(ValueError, match="exposures must be positive"):
+                fit_glm(X, rng.poisson(1.0, 40).astype(float), v, get_family("poisson"))
 
     def test_rank_deficiency_names_columns(self):
         rng = rng_stream(8, "glm-rank")

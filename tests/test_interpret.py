@@ -17,6 +17,7 @@ from localglmnet import (
     smooth_curve,
     variable_importance,
 )
+from localglmnet import interpret
 from localglmnet.model import Params
 
 
@@ -187,10 +188,11 @@ class TestSmoothCurve:
         assert np.abs(vals - (0.4 - 1.3 * grid)).max() < 1e-6
 
     @pytest.mark.parametrize("n_knots", [4, 8, 20, 35])
-    def test_linear_reproduction_any_knot_count(self, n_knots):
+    def test_linear_reproduction_any_knot_count(self, n_knots, monkeypatch):
+        monkeypatch.setattr(interpret, "N_KNOTS", n_knots)
         rng = rng_stream(3, "sc")
         x = rng.standard_normal(600)
-        grid, vals = smooth_curve(x, 2.0 + 0.5 * x, n_knots=n_knots)
+        grid, vals = smooth_curve(x, 2.0 + 0.5 * x)
         assert np.abs(vals - (2.0 + 0.5 * grid)).max() < 1e-6
 
     def test_recovers_sine_from_noise(self):
@@ -217,10 +219,12 @@ class TestSmoothCurve:
         rng = rng_stream(seed, "sc-multi")
         x = rng.uniform(-3.0, 3.0, n)
         Y = rng.standard_normal((n, m)) + np.sin(x)[:, None]
-        grid, values = smooth_curve(x, Y, n_knots=n_knots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interpret, "N_KNOTS", n_knots)
+            grid, values = smooth_curve(x, Y)
+            columns = [smooth_curve(x, Y[:, k]) for k in range(m)]
         assert values.shape == (grid.size, m)
-        for k in range(m):
-            grid_k, values_k = smooth_curve(x, Y[:, k], n_knots=n_knots)
+        for k, (grid_k, values_k) in enumerate(columns):
             assert np.array_equal(grid, grid_k)
             assert_allclose(values[:, k], values_k, rtol=0.0, atol=1e-12)
 

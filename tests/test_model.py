@@ -30,7 +30,7 @@ def zero_params(spec, beta0=0.0):
 
 
 def family_loss(params, spec, X, y, v=None):
-    return get_family(spec.family).loss(y, forward(params, spec, X, v).mu, v)
+    return get_family(spec.family).loss(y, forward(params, spec, X, v).mu)
 
 
 def extended_loss(params, spec, X, y, v=None):
@@ -43,7 +43,7 @@ def extended_loss(params, spec, X, y, v=None):
     family = get_family(spec.family)
     tr = forward(params, spec, X, v)
     past = tr.eta - np.clip(tr.eta, -family.eta_max, family.eta_max)
-    return family.loss(y, tr.mu, v) + np.mean(2.0 * (tr.mu - y) * past)
+    return family.loss(y, tr.mu) + np.mean(2.0 * (tr.mu - y) * past)
 
 
 def fd_param_grads(params, spec, X, y, v=None, h=1e-5, loss=family_loss):
