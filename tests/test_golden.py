@@ -1,0 +1,154 @@
+"""Golden outputs: the sha256 of every file and stream of a small CLI pipeline.
+
+The pipeline is the determinism test's 2000-row ``synth`` with a 10-epoch
+``fit`` and a ``report``, then ``interactions`` on that model and a 2000-row
+Poisson ``fit`` with exposures. Every command runs as its own process, and
+its stdout and stderr count as outputs too. The test re-runs the pipeline
+and names every output whose digest differs from ``golden/SHA256SUMS``:
+text exactly, numbers bit for bit.
+
+A change that moves these bytes on purpose regenerates the set with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites ``golden/SHA256SUMS`` and ``golden/machine.json``. The
+machine facts say where the digests were made: OpenBLAS picks its kernels
+by CPU, so another CPU may move a last bit. Compare them before blaming the
+code.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+INPUTS = {
+    "schema.txt": "".join(f"x{j}: continuous\n" for j in range(1, 9)) + "y: response\n",
+    "model.cfg": "hidden_dims = 20,15,10\nfamily = gaussian\nlink = identity\n",
+    "train.cfg": ("learning_rate = 0.002\nbatch_size = 500\nmax_epochs = 10\n"
+                  "val_fraction = 0.2\nseed = 7\n"),
+    "poisson_schema.txt": ("x1: continuous\nx2: continuous\nx3: continuous\n"
+                           "expo: exposure\ny: response\n"),
+    "poisson_model.cfg": "hidden_dims = 10,5\nfamily = poisson\n",
+    "poisson_train.cfg": "batch_size = 250\nmax_epochs = 10\nseed = 3\n",
+}
+
+COMMANDS = [
+    ("synth", ["synth", "--n-learn", "2000", "--n-test", "1000", "--seed", "5",
+               "--out-dir", "synth"]),
+    ("fit", ["fit", "--learn", "synth/learn.csv", "--test", "synth/test.csv",
+             "--schema", "schema.txt", "--spec", "model.cfg", "--train-config", "train.cfg",
+             "--seed", "7", "--synthetic-truth", "--out-dir", "fit"]),
+    ("report", ["report", "--model", "fit/model.json", "--data", "synth/test.csv",
+                "--schema", "schema.txt", "--control", "x7", "--sample", "500",
+                "--seed", "11", "--out-dir", "report"]),
+    ("interactions", ["interactions", "--model", "fit/model.json", "--data", "synth/test.csv",
+                      "--schema", "schema.txt", "--out-dir", "interactions"]),
+    ("poisson", ["fit", "--learn", "poisson.csv", "--schema", "poisson_schema.txt",
+                 "--spec", "poisson_model.cfg", "--train-config", "poisson_train.cfg",
+                 "--out-dir", "poisson"]),
+]
+
+
+def write_poisson_csv(path, n=2000):
+    """Claim counts with exposures in [0.2, 1) from a fixed log-linear surface."""
+    rng = np.random.default_rng(2021)
+    X = rng.standard_normal((n, 3))
+    expo = rng.uniform(0.2, 1.0, n)
+    y = rng.poisson(expo * np.exp(-1.0 + 0.4 * X[:, 0] - 0.2 * X[:, 1] ** 2))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x1,x2,x3,expo,y\n")
+        fh.writelines(f"{a!r},{b!r},{c!r},{e!r},{int(k)}\n"
+                      for (a, b, c), e, k in zip(X.tolist(), expo.tolist(), y))
+
+
+def run_pipeline(workdir):
+    """Run every command in ``workdir``; return {output name: sha256 hex digest}."""
+    workdir = Path(workdir)
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    write_poisson_csv(workdir / "poisson.csv")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    digests = {}
+    for label, argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "localglmnet.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, timeout=600)
+        if proc.returncode != 0:
+            raise AssertionError(f"{label} exited {proc.returncode}: "
+                                 f"{proc.stderr.decode(errors='replace')}")
+        digests[f"{label}.stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+        digests[f"{label}.stderr"] = hashlib.sha256(proc.stderr).hexdigest()
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            digests[path.relative_to(workdir).as_posix()] = \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def machine_facts():
+    """The platform facts that can move a last bit without a code change."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+    }
+
+
+def read_golden():
+    digests = {}
+    for line in (GOLDEN / "SHA256SUMS").read_text(encoding="utf-8").splitlines():
+        digest, name = line.split("  ", 1)
+        digests[name] = digest
+    return digests
+
+
+def test_outputs_match_golden(tmp_path):
+    want, got = read_golden(), run_pipeline(tmp_path)
+
+    def status(name):
+        return "missing" if name not in got else "new" if name not in want else "differs"
+
+    moved = [f"{name} ({status(name)})"
+             for name in sorted(set(want) | set(got)) if want.get(name) != got.get(name)]
+    stored = json.loads((GOLDEN / "machine.json").read_text(encoding="utf-8"))
+    assert not moved, (f"{len(moved)} of {len(want)} golden outputs moved: {', '.join(moved)}\n"
+                       f"golden machine:  {stored}\nthis machine:    {machine_facts()}")
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = run_pipeline(workdir)
+    (GOLDEN / "SHA256SUMS").write_text(
+        "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items())),
+        encoding="utf-8")
+    (GOLDEN / "machine.json").write_text(json.dumps(machine_facts(), indent=1) + "\n",
+                                         encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN / 'SHA256SUMS'}")
+
+
+if __name__ == "__main__":
+    regenerate()
