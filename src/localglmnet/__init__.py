@@ -47,7 +47,7 @@ from .interpret import (
     smooth_curve,
     variable_importance,
 )
-from .linalg import rng_stream, sample_mvn
+from .linalg import rng_stream
 from .model import (
     ModelSpec,
     Params,
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "NumericError",
-    "rng_stream", "sample_mvn",
+    "rng_stream",
     "Gaussian", "Poisson", "get_family",
     "mse_loss", "poisson_deviance", "fit_null", "fit_glm",
     "ModelSpec", "Params", "init_params", "forward", "attention",

@@ -29,7 +29,6 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .linalg import sample_mvn
 
 __all__ = [
     "ColumnSpec",
@@ -139,7 +138,7 @@ def load_schema(path) -> Schema:
 
 
 def read_key_values(path) -> dict:
-    """Parse a plain ``key = value`` config file ('#' starts a comment)."""
+    """Parse a plain ``key = value`` config file ('#' starts a comment; one line per key)."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -148,8 +147,10 @@ def read_key_values(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+            out[key] = value
     return out
 
 
@@ -234,7 +235,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(X=self.X[idx].copy(), y=self.y[idx].copy(), v=self.v[idx].copy(),
+        return Dataset(X=self.X[idx], y=self.y[idx], v=self.v[idx],
                        feature_names=list(self.feature_names),
                        feature_kinds=list(self.feature_kinds),
                        groups={k: list(v) for k, v in self.groups.items()})
@@ -249,24 +250,15 @@ def one_hot(values, levels=None, column=None):
     Returns ``(matrix, levels)``.
     """
     values = list(values)
-    if levels is None:
-        levels = []
-        for val in values:
-            if val not in levels:
-                levels.append(val)
-        levels = tuple(levels)
-    else:
-        levels = tuple(levels)
-        index = set(levels)
-        for i, val in enumerate(values):
-            if val not in index:
-                where = f"row {i + 1}" + ("" if column is None else f", column {column!r}")
-                raise DataError(f"{where}: unknown categorical level {val!r}")
+    levels = tuple(dict.fromkeys(values) if levels is None else levels)
     pos = {lv: j for j, lv in enumerate(levels)}
-    mat = np.zeros((len(values), len(levels)))
-    for i, val in enumerate(values):
-        mat[i, pos[val]] = 1.0
-    return mat, levels
+    try:
+        codes = [pos[val] for val in values]
+    except KeyError:
+        i = next(i for i, val in enumerate(values) if val not in pos)
+        where = f"row {i + 1}" + ("" if column is None else f", column {column!r}")
+        raise DataError(f"{where}: unknown categorical level {values[i]!r}") from None
+    return np.eye(len(levels))[codes], levels
 
 
 def _parse_float(cell, row, col):
@@ -325,7 +317,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     module reads categorical columns, and every column when that fast read
     finds anything amiss, so errors name the row and the column. Categorical
     columns are one-hot encoded here, in schema-pinned or first-appearance
-    level order.
+    level order. Every error message starts with the path.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -334,10 +326,17 @@ def load_csv(path, schema: Schema) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file (header row required)") from None
         body = fh.read()
-    header = [h.strip() for h in header]
+    try:
+        return _encode_csv([h.strip() for h in header], body, schema)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _encode_csv(header, body, schema):
+    """The Dataset of a CSV body under ``header``; errors do not name the file."""
     missing = [c.name for c in schema.columns if c.kind != "ignore" and c.name not in header]
     if missing:
-        raise DataError(f"{path}: missing required columns: {missing}")
+        raise DataError(f"missing required columns: {missing}")
     col_of = {name: j for j, name in enumerate(header)}
     used = [c for c in schema.columns if c.kind != "ignore"]
     numeric = [c.name for c in used if c.kind != "categorical"]
@@ -350,7 +349,7 @@ def load_csv(path, schema: Schema) -> Dataset:
             if block is None or c.kind == "categorical":
                 raw[c.name] = _column_cells(rows, col_of[c.name], c.name)
         if not rows:
-            raise DataError(f"{path}: no data rows")
+            raise DataError("no data rows")
 
     def values(name):
         if block is None:
@@ -501,7 +500,8 @@ def synth_generate(n_learn: int, n_test: int, rng: np.random.Generator):
     """Draw independent learning and test sets from the synthetic benchmark.
 
     Features are centered unit-variance Gaussians, independent except for
-    a 0.5 correlation between x2 and x8; responses are unit-variance
+    a 0.5 correlation between x2 and x8, drawn by numpy's Cholesky-method
+    multivariate normal sampler; responses are unit-variance
     Gaussians around :func:`true_mu`. The two sets are disjoint draws from
     one stream, so they are independent of each other.
     """
@@ -511,7 +511,7 @@ def synth_generate(n_learn: int, n_test: int, rng: np.random.Generator):
     sigma[1, 7] = sigma[7, 1] = 0.5
 
     def draw(n):
-        X = sample_mvn(n, np.zeros(8), sigma, rng)
+        X = rng.multivariate_normal(np.zeros(8), sigma, size=n, method="cholesky")
         y = true_mu(X) + rng.standard_normal(n)
         return Dataset(X=X, y=y, v=np.ones(n),
                        feature_names=[f"x{j}" for j in range(1, 9)],

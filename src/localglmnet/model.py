@@ -32,24 +32,20 @@ __all__ = [
     "load_model",
 ]
 
-_ACTIVATIONS = ("tanh", "linear")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: widths, activations and response family.
+    """Architecture description: widths and response family.
 
     ``hidden_dims`` are the widths of the intermediate tower layers; the
-    tower input and output are both q. ``activations`` has one tag per
-    layer (default: tanh on every hidden layer, linear on the output
-    layer), restricted to differentiable choices so input gradients exist.
+    tower input and output are both q. Every hidden layer is tanh and the
+    output layer is linear, so its outputs are the attentions beta(x).
     ``link`` is the family's canonical link (identity for gaussian, log
     for poisson) and may be left out; any other link raises ValueError.
     """
 
     q: int
     hidden_dims: tuple[int, ...] = ()
-    activations: tuple[str, ...] = None
     family: str = "gaussian"
     link: str = None
 
@@ -59,17 +55,6 @@ class ModelSpec:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be >= 1, got {self.hidden_dims}")
-        depth = len(self.hidden_dims) + 1
-        if self.activations is None:
-            acts = ("tanh",) * (depth - 1) + ("linear",)
-        else:
-            acts = tuple(self.activations)
-        if len(acts) != depth:
-            raise ValueError(f"activations needs {depth} tags, got {len(acts)}")
-        for a in acts:
-            if a not in _ACTIVATIONS:
-                raise ValueError(f"activations: unsupported {a!r}; choose from {_ACTIVATIONS}")
-        object.__setattr__(self, "activations", acts)
         canonical = get_family(self.family).link
         if self.link not in (None, canonical):
             raise ValueError(f"family {self.family!r} takes only its canonical link "
@@ -84,6 +69,11 @@ class ModelSpec:
     @property
     def depth(self) -> int:
         return len(self.hidden_dims) + 1
+
+    @property
+    def activations(self) -> tuple:
+        """The layer tags a model file stores: tanh per hidden layer, then linear."""
+        return ("tanh",) * len(self.hidden_dims) + ("linear",)
 
 
 class Params:
@@ -144,15 +134,6 @@ class ForwardTrace:
     n_clamped: int = 0
 
 
-def _act(name, a):
-    return np.tanh(a) if name == "tanh" else a
-
-
-def _act_deriv(name, z):
-    """Derivative of the activation, from its output z (tanh' = 1 - tanh^2)."""
-    return 1.0 - z * z if name == "tanh" else np.ones_like(z)
-
-
 def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 0.0) -> Params:
     """Glorot-uniform weights, zero biases, output bias as given.
 
@@ -172,7 +153,8 @@ def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
     """Run the attention tower, returning the per-layer activations.
 
     ``acts[0]`` is the input X as a float array of shape (n, q) and
-    ``acts[m + 1]`` the output of layer m.
+    ``acts[m + 1]`` the output of layer m: tanh of its pre-activation for a
+    hidden layer, the pre-activation itself for the output layer.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
@@ -182,7 +164,7 @@ def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
         a = acts[-1] @ params.weights[m] + params.biases[m]
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite activations in layer {m + 1}")
-        acts.append(_act(spec.activations[m], a))
+        acts.append(np.tanh(a) if m < spec.depth - 1 else a)
     return acts
 
 
@@ -234,29 +216,35 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     grads = Params(spec.layer_dims)
     grads.n_clamped = trace.n_clamped
     grads.beta0 = np.sum(deta)
-    delta = deta[:, None] * X  # gradient wrt the tower output beta(x)
+    da = deta[:, None] * X  # gradient wrt beta(x), the linear output layer
     for m in range(spec.depth - 1, -1, -1):
-        da = delta * _act_deriv(spec.activations[m], trace.activations[m + 1])
         np.matmul(trace.activations[m].T, da, out=grads.weights[m])
         da.sum(axis=0, out=grads.biases[m])
-        if m > 0:
-            delta = da @ params.weights[m].T
+        if m > 0:  # back through the tanh of hidden layer m - 1: tanh' = 1 - tanh^2
+            z = trace.activations[m]
+            da = (da @ params.weights[m].T) * (1.0 - z * z)
     return loss, grads
 
 
 def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     """Jacobians d beta_j(x_i) / d x_ik as an (n, q, q) array.
 
-    Accumulated layer by layer: J <- diag(act'(a_m)) @ W_m^T @ J, sharing
-    one forward pass across all q outputs. The skip connection does not
-    enter the attentions, so only the tower is differentiated.
+    Accumulated layer by layer: J <- W_m^T @ J, times diag(1 - z^2) after
+    each tanh layer with output z, sharing one forward pass across all q
+    outputs. The output layer is linear, so it adds no factor. The skip
+    connection does not enter the attentions, so only the tower is
+    differentiated.
     """
     acts = _tower(params, spec, X)
-    d0 = _act_deriv(spec.activations[0], acts[1])  # (n, q_1)
-    J = d0[:, :, None] * params.weights[0].T[None, :, :]  # (n, q_1, q)
+    if spec.depth == 1:  # one linear layer: the same W_0^T for every row
+        return np.repeat(params.weights[0].T[None], acts[0].shape[0], axis=0)
+    z = acts[1][:, :, None]
+    J = (1.0 - z * z) * params.weights[0].T  # (n, q_1, q)
     for m in range(1, spec.depth):
         J = np.matmul(params.weights[m].T, J)  # (q_{m+1}, q_m) @ (n, q_m, q)
-        J *= _act_deriv(spec.activations[m], acts[m + 1])[:, :, None]
+        if m < spec.depth - 1:
+            z = acts[m + 1][:, :, None]
+            J *= 1.0 - z * z
     return J
 
 
@@ -314,8 +302,8 @@ def load_model(path):
     try:
         s, p = doc["spec"], doc["params"]
         spec = ModelSpec(q=s["q"], hidden_dims=tuple(s["hidden_dims"]),
-                         activations=tuple(s["activations"]),
                          family=s["family"], link=s["link"])
+        tags = tuple(s["activations"])
         weights = [_decode(w) for w in p["weights"]]
         biases = [_decode(b) for b in p["biases"]]
         beta0 = _decode(p["beta0"])
@@ -323,6 +311,9 @@ def load_model(path):
         raise ConfigError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed model file: {exc}") from None
+    if tags != spec.activations:
+        raise ConfigError(f"{path}: activations {list(tags)} differ from the fixed tower "
+                          f"{list(spec.activations)} (tanh hidden layers, linear output)")
     params = Params(spec.layer_dims)
     expected = ([w.shape for w in params.weights], [b.shape for b in params.biases], (1,))
     got = ([w.shape for w in weights], [b.shape for b in biases], beta0.shape)

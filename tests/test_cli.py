@@ -389,6 +389,7 @@ class TestExitCodes:
         ("model.cfg", "hidden_dims = 20,x", "hidden_dims"),
         ("model.cfg", "hidden_dims = 20,0", "hidden_dims"),
         ("model.cfg", "activations = tanh,relu,linear", "activations"),
+        ("model.cfg", "activations = tanh,tanh,linear", "activations"),
         ("model.cfg", "family = gamma", "family"),
         ("model.cfg", "hidden_dim = 20", "hidden_dim"),
         ("train.cfg", "batch_size = x", "batch_size"),
@@ -407,6 +408,30 @@ class TestExitCodes:
                    "--train-config", workdir / "train.cfg", "--out-dir", workdir / "x") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ") and key in err
+
+    def test_duplicate_config_key_names_file_line_and_key(self, workdir, capsys):
+        assert run("synth", "--n-learn", 100, "--n-test", 10, "--out-dir", workdir / "s") == 0
+        path = workdir / "train.cfg"
+        lines = path.read_text().splitlines() + ["learning_rate = 5"]
+        path.write_text("\n".join(lines) + "\n")
+        assert run("fit", "--learn", workdir / "s" / "learn.csv", "--schema",
+                   workdir / "schema.txt", "--spec", workdir / "model.cfg",
+                   "--train-config", path, "--out-dir", workdir / "x") == 2
+        assert capsys.readouterr().err == (f"configuration error: {path}:{len(lines)}: "
+                                           "key 'learning_rate' given twice\n")
+
+    def test_bad_cell_in_test_file_names_that_file(self, workdir, capsys):
+        synth_dir = workdir / "s"
+        assert run("synth", "--n-learn", 100, "--n-test", 10, "--out-dir", synth_dir) == 0
+        lines = (synth_dir / "test.csv").read_text().splitlines()
+        lines[3] = "oops" + lines[3][lines[3].index(","):]
+        bad = workdir / "bad_test.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("fit", "--learn", synth_dir / "learn.csv", "--test", bad,
+                   "--schema", workdir / "schema.txt", "--spec", workdir / "model.cfg",
+                   "--train-config", workdir / "train.cfg", "--out-dir", workdir / "x") == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: row 3, column 'x1': "
+                                           "cannot parse 'oops' as a number\n")
 
     def test_data_error_missing_file(self, workdir):
         code = run("fit", "--learn", workdir / "does-not-exist.csv",
@@ -441,8 +466,11 @@ class TestExitCodes:
         doc = json.loads((fit_dir / "model.json").read_text())
         bad_shape = json.loads(json.dumps(doc))
         bad_shape["params"]["biases"][0] = doc["params"]["beta0"]  # would broadcast
+        bad_tags = json.loads(json.dumps(doc))
+        bad_tags["spec"]["activations"] = ["tanh", "tanh", "tanh"]
         del doc["params"]["biases"]
-        for name, bad in (("missing.json", doc), ("shape.json", bad_shape)):
+        for name, bad in (("missing.json", doc), ("shape.json", bad_shape),
+                          ("tags.json", bad_tags)):
             (workdir / name).write_text(json.dumps(bad))
             assert run("report", "--model", workdir / name, "--data", synth_dir / "test.csv",
                        "--schema", workdir / "schema.txt", "--control", "x7",
@@ -450,6 +478,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing.json: missing key 'biases'" in err
         assert "shape.json: parameter shapes" in err
+        assert "tags.json: activations ['tanh', 'tanh', 'tanh'] differ" in err
 
     def test_numeric_error_collinear_glm(self, workdir, tmp_path):
         rng = np.random.default_rng(1)

@@ -130,15 +130,17 @@ class TestLoadCsv:
 
 
 # The per-cell reader and row writer that load_csv and write_csv replaced,
-# kept as the reference: every cell goes through csv and float(). The one
-# change is that non-finite numbers are rejected, as load_csv now does.
-def reference_parse_float(cell, row, col):
+# kept as the reference: every cell goes through csv and float(). Two
+# changes follow load_csv: non-finite numbers are rejected, and every row
+# and column error starts with the path.
+def reference_parse_float(path, cell, row, col):
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"row {row}, column {col!r}: cannot parse {cell!r} as a number") from None
+        raise DataError(f"{path}: row {row}, column {col!r}: cannot parse {cell!r} "
+                        "as a number") from None
     if not np.isfinite(value):
-        raise DataError(f"row {row}, column {col!r}: {cell!r} is not a finite number")
+        raise DataError(f"{path}: row {row}, column {col!r}: {cell!r} is not a finite number")
     return value
 
 
@@ -163,26 +165,30 @@ def reference_load_csv(path, schema):
         cells = []
         for i, row in enumerate(rows, start=1):
             if j >= len(row) or row[j] == "":
-                raise DataError(f"row {i}, column {c.name!r}: missing value")
+                raise DataError(f"{path}: row {i}, column {c.name!r}: missing value")
             cells.append(row[j])
         raw[c.name] = cells
     n = len(rows)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    y = np.array([reference_parse_float(c, i + 1, schema.response)
+    y = np.array([reference_parse_float(path, c, i + 1, schema.response)
                   for i, c in enumerate(raw[schema.response])])
     if schema.exposure is not None:
-        v = np.array([reference_parse_float(c, i + 1, schema.exposure)
+        v = np.array([reference_parse_float(path, c, i + 1, schema.exposure)
                       for i, c in enumerate(raw[schema.exposure])])
         if np.any(v <= 0):
             bad = int(np.argmax(v <= 0)) + 1
-            raise DataError(f"row {bad}, column {schema.exposure!r}: exposure must be > 0")
+            raise DataError(f"{path}: row {bad}, column {schema.exposure!r}: "
+                            "exposure must be > 0")
     else:
         v = np.ones(n)
     cols, names, kinds, groups = [], [], [], {}
     for c in schema.feature_columns:
         if c.kind == "categorical":
-            mat, levels = one_hot(raw[c.name], c.levels, c.name)
+            try:
+                mat, levels = one_hot(raw[c.name], c.levels, c.name)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
             start = len(names)
             for k, lv in enumerate(levels):
                 cols.append(mat[:, k])
@@ -190,7 +196,7 @@ def reference_load_csv(path, schema):
                 kinds.append("onehot")
             groups[c.name] = list(range(start, start + len(levels)))
         else:
-            cols.append(np.array([reference_parse_float(cell, i + 1, c.name)
+            cols.append(np.array([reference_parse_float(path, cell, i + 1, c.name)
                                   for i, cell in enumerate(raw[c.name])]))
             names.append(c.name)
             kinds.append(c.kind)

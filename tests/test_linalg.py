@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from localglmnet import interval, rng_stream, sample_mvn
-from localglmnet.errors import NumericError
+from localglmnet import interval, rng_stream, synth_generate
 
 
 def bisect_quantile(p, lo=-12.0, hi=12.0):
@@ -29,15 +28,17 @@ def quantile(p):
 
 
 def draws(sigma, n, seed=0, mean=None):
-    """sample_mvn draws and the standard normals Z behind them."""
+    """Draws of numpy's Cholesky-method sampler, the one synth_generate uses,
+    and the standard normals Z behind them."""
     d = len(sigma)
     mean = np.zeros(d) if mean is None else mean
-    X = sample_mvn(n, mean, np.asarray(sigma, dtype=float), rng_stream(seed, "mvn"))
+    X = rng_stream(seed, "mvn").multivariate_normal(mean, np.asarray(sigma, dtype=float),
+                                                    size=n, method="cholesky")
     return X - mean, rng_stream(seed, "mvn").standard_normal((n, d))
 
 
 class TestCholesky:
-    """The factor L that sample_mvn draws with: X = mean + Z @ L.T."""
+    """The factor L that the sampler draws with: X = mean + Z @ L.T."""
 
     def test_identity(self):
         X, Z = draws(np.eye(8), 20)
@@ -51,19 +52,6 @@ class TestCholesky:
     def test_scalar(self):
         X, Z = draws([[4.0]], 20)
         assert_allclose(X, 2.0 * Z)
-
-    def test_failure_names_pivot(self):
-        sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(NumericError, match="pivot 1"):
-            draws(sigma, 5)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            draws([[1.0, 0.2], [0.3, 1.0]], 5)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            sample_mvn(5, np.zeros(2), np.ones((2, 3)), rng_stream(0, "mvn"))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**31))
@@ -116,29 +104,29 @@ class TestRngStream:
 
 
 class TestSampleMvn:
+    """The multivariate normal features of synth_generate."""
+
     def test_independent_components(self):
-        X = sample_mvn(100_000, np.zeros(2), np.eye(2), rng_stream(5, "mvn"))
+        X, _ = draws(np.eye(2), 100_000, seed=5)
         assert abs(np.corrcoef(X.T)[0, 1]) < 0.02
 
     def test_target_correlation_structure(self):
+        learn, _ = synth_generate(100_000, 1, rng_stream(5, "gen"))
+        corr = np.corrcoef(learn.X.T)
+        assert 0.48 <= corr[1, 7] <= 0.52
+        assert np.abs(learn.X.mean(axis=0)).max() < 0.02
+        # Bit for bit mean + Z @ L.T, with Z the first normals of the stream.
         sigma = np.eye(8)
         sigma[1, 7] = sigma[7, 1] = 0.5
-        X = sample_mvn(100_000, np.zeros(8), sigma, rng_stream(5, "mvn"))
-        corr = np.corrcoef(X.T)
-        assert 0.48 <= corr[1, 7] <= 0.52
-        assert np.abs(X.mean(axis=0)).max() < 0.02
+        Z = rng_stream(5, "gen").standard_normal((100_000, 8))
+        assert learn.X.tobytes() == (np.zeros(8) + Z @ np.linalg.cholesky(sigma).T).tobytes()
 
     def test_deterministic_under_seed(self):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        X1 = sample_mvn(50, np.zeros(2), sigma, rng_stream(9, "mvn"))
-        X2 = sample_mvn(50, np.zeros(2), sigma, rng_stream(9, "mvn"))
+        X1, _ = draws(sigma, 50, seed=9)
+        X2, _ = draws(sigma, 50, seed=9)
         assert np.array_equal(X1, X2)
 
-    def test_propagates_cholesky_failure(self):
-        with pytest.raises(NumericError, match="not positive definite"):
-            sample_mvn(10, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
-                       rng_stream(0, "mvn"))
-
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample_mvn(0, np.zeros(2), np.eye(2), rng_stream(0, "mvn"))
+        with pytest.raises(ValueError, match="n_learn >= 1"):
+            synth_generate(0, 5, rng_stream(0, "gen"))

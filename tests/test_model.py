@@ -80,13 +80,30 @@ class TestModelSpec:
         assert spec.layer_dims == (3, 3)
         assert spec.activations == ("linear",)
 
-    def test_rejects_bad_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            ModelSpec(q=3, hidden_dims=(4,), activations=("relu", "linear"))
+    @staticmethod
+    def saved_with_tags(tmp_path, tags):
+        """A model.json for the q=3, width-4 tower whose stored tags are ``tags``."""
+        spec = ModelSpec(q=3, hidden_dims=(4,))
+        path = tmp_path / "model.json"
+        save_model(path, spec, init_params(spec, rng_stream(14, "ser")))
+        doc = json.loads(path.read_text())
+        doc["spec"]["activations"] = tags
+        path.write_text(json.dumps(doc))
+        return path
 
-    def test_rejects_wrong_activation_count(self):
-        with pytest.raises(ValueError):
-            ModelSpec(q=3, hidden_dims=(4,), activations=("tanh",))
+    def test_rejects_bad_activation(self, tmp_path):
+        # The tower is fixed: the spec takes no tags, and a model file's tags must match it.
+        with pytest.raises(TypeError):
+            ModelSpec(q=3, hidden_dims=(4,), activations=("tanh", "linear"))
+        path = self.saved_with_tags(tmp_path, ["relu", "linear"])
+        with pytest.raises(ConfigError, match=r"model\.json: activations \['relu', 'linear'\]"):
+            load_model(path)
+
+    def test_rejects_wrong_activation_count(self, tmp_path):
+        path = self.saved_with_tags(tmp_path, ["tanh"])
+        with pytest.raises(ConfigError, match=r"model\.json: activations \['tanh'\] differ "
+                                              r"from the fixed tower \['tanh', 'linear'\]"):
+            load_model(path)
 
     @pytest.mark.parametrize("family,link", [("gaussian", "identity"), ("poisson", "log")])
     def test_link_defaults_to_canonical(self, family, link):
@@ -374,7 +391,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("block,key", [("params", "weights"), ("params", "biases"),
                                            ("params", "beta0"), ("spec", "q"),
-                                           ("spec", "hidden_dims")])
+                                           ("spec", "hidden_dims"), ("spec", "activations")])
     def test_missing_key_names_file_and_key(self, tmp_path, block, key):
         path, doc = self.saved_doc(tmp_path)
         del doc[block][key]
