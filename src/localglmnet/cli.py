@@ -195,7 +195,6 @@ def cmd_report(args):
     dataset = _report_dataset(args, preprocess)
 
     beta = attention(params, spec, dataset.X)
-    contrib = beta * dataset.X
     std_cols = [j for j, k in enumerate(dataset.feature_kinds)
                 if k in data_mod.STANDARDIZED_KINDS]
     std_names = [dataset.feature_names[j] for j in std_cols]
@@ -219,27 +218,29 @@ def cmd_report(args):
                        title="Variable importance", ylabel="mean |attention|"))
 
     pick = _subsample(args, dataset.n)
-    ylim_beta = (float(beta[pick][:, std_cols].min()) - 0.05,
-                 float(beta[pick][:, std_cols].max()) + 0.05)
-    ylim_contrib = (float(contrib[pick][:, std_cols].min()) - 0.05,
-                    float(contrib[pick][:, std_cols].max()) + 0.05)
+    X_pick, beta_pick = dataset.X[pick], beta[pick]
+    contrib = beta_pick * X_pick
+    ylim_beta = (float(beta_pick[:, std_cols].min()) - 0.05,
+                 float(beta_pick[:, std_cols].max()) + 0.05)
+    ylim_contrib = (float(contrib[:, std_cols].min()) - 0.05,
+                    float(contrib[:, std_cols].max()) + 0.05)
     guide = [(0.0, "#d62728"), (report.lo, "#17becf"), (report.hi, "#17becf")]
     for j, name in zip(std_cols, std_names):
-        x = dataset.X[pick, j]
+        x = X_pick[:, j]
         data_mod.write_rows(os.path.join(args.out_dir, f"attention_{name}.csv"),
                             [name, "attention"],
                             [[repr(float(a)), repr(float(b))]
-                             for a, b in zip(x, beta[pick, j])])
+                             for a, b in zip(x, beta_pick[:, j])])
         _write(os.path.join(args.out_dir, f"attention_{name}.svg"),
-               svg.scatter_svg(x, beta[pick, j], title=f"Attention: {name}",
+               svg.scatter_svg(x, beta_pick[:, j], title=f"Attention: {name}",
                                xlabel=name, ylabel="attention",
                                hlines=guide, ylim=ylim_beta))
         data_mod.write_rows(os.path.join(args.out_dir, f"contribution_{name}.csv"),
                             [name, "contribution"],
                             [[repr(float(a)), repr(float(c))]
-                             for a, c in zip(x, contrib[pick, j])])
+                             for a, c in zip(x, contrib[:, j])])
         _write(os.path.join(args.out_dir, f"contribution_{name}.svg"),
-               svg.scatter_svg(x, contrib[pick, j], title=f"Contribution: {name}",
+               svg.scatter_svg(x, contrib[:, j], title=f"Contribution: {name}",
                                xlabel=name, ylabel="contribution",
                                hlines=[(0.0, "#d62728")], ylim=ylim_contrib))
 

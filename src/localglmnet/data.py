@@ -16,9 +16,9 @@ level owns a contribution slot. Continuous and binary columns are
 standardized with learning-set moments; one-hot columns stay 0/1.
 """
 
+import copy
 import csv
 import dataclasses
-import io
 import math
 import re
 import types
@@ -275,36 +275,57 @@ def _parse_column(cells, col):
     return np.array([_parse_float(cell, i, col) for i, cell in enumerate(cells, start=1)])
 
 
-def _column_cells(rows, j, col):
-    cells = []
-    for i, row in enumerate(rows, start=1):
-        if j >= len(row) or row[j] == "":
-            raise DataError(f"row {i}, column {col!r}: missing value")
-        cells.append(row[j])
+def _body_cells(fh, columns):
+    """Cells of the ``(name, index)`` columns in every body row of the open CSV ``fh``.
+
+    Rewinds ``fh`` and reads it with the csv module, skipping the header
+    record. Missing cells are reported column by column in the order given,
+    then an empty body.
+    """
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    cells = {name: [] for name, _ in columns}
+    for row in reader:
+        for name, j in columns:
+            cells[name].append(row[j] if j < len(row) else "")
+    for name, col in cells.items():
+        if "" in col:
+            raise DataError(f"row {col.index('') + 1}, column {name!r}: missing value")
+    if not cells[columns[0][0]]:
+        raise DataError("no data rows")
     return cells
 
 
-def _read_numeric(body, usecols):
-    """Parse columns ``usecols`` of a CSV body with one np.loadtxt call.
+def _read_numeric(lines, usecols):
+    """Parse columns ``usecols`` of the CSV body ``lines`` with one np.loadtxt call.
 
-    Returns an (n, len(usecols)) array, or None whenever only the per-cell
-    reader can give the exact values or name the faulty cell: a quote
-    character, no data lines, a cell loadtxt cannot parse (float() also
-    takes ``1_000``), a row count that differs from the body's line count
-    (loadtxt skips blank lines) or a non-finite value.
+    ``lines`` is streamed to loadtxt, which never sees the body as one
+    string. Returns an (n, len(usecols)) array, or None whenever only the
+    per-cell reader can give the exact values or name the faulty cell: a
+    quote character, no data lines, a cell loadtxt cannot parse (float()
+    also takes ``1_000``), a row count that differs from the body's line
+    count (loadtxt skips blank lines) or a non-finite value.
     """
-    n_lines = (body.count("\n") + body.count("\r") - body.count("\r\n")
-               + (body[-1:] not in ("", "\n", "\r")))
-    if n_lines == 0 or '"' in body:
-        return None
+    n_lines, quoted = 0, False
+
+    def counted():
+        nonlocal n_lines, quoted
+        for line in lines:
+            if '"' in line:
+                quoted = True
+                return
+            n_lines += 1
+            yield line
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = np.loadtxt(io.StringIO(body, newline=None), delimiter=",",
-                               comments=None, usecols=usecols, ndmin=2)
+            block = np.loadtxt(counted(), delimiter=",", comments=None, usecols=usecols,
+                               ndmin=2)
     except (ValueError, UserWarning):
         return None
-    if block.shape[0] != n_lines or not np.all(np.isfinite(block)):
+    if quoted or n_lines == 0 or block.shape[0] != n_lines or not np.all(np.isfinite(block)):
         return None
     return block
 
@@ -313,43 +334,36 @@ def load_csv(path, schema: Schema) -> Dataset:
     """Read a comma-separated file (header mandatory) against a schema.
 
     Missing and non-finite values are rejected; cells must parse per the
-    column kind. Numeric columns are read by one np.loadtxt call; the csv
-    module reads categorical columns, and every column when that fast read
-    finds anything amiss, so errors name the row and the column. Categorical
-    columns are one-hot encoded here, in schema-pinned or first-appearance
-    level order. Every error message starts with the path.
+    column kind. Numeric columns are read by one np.loadtxt call streamed
+    from the file; the csv module reads categorical columns, and every
+    column when that fast read finds anything amiss, so errors name the
+    row and the column. Categorical columns are one-hot encoded here, in
+    schema-pinned or first-appearance level order. Every error message
+    starts with the path.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file (header row required)") from None
-        body = fh.read()
-    try:
-        return _encode_csv([h.strip() for h in header], body, schema)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        try:
+            return _encode_csv([h.strip() for h in header], fh, schema)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
-def _encode_csv(header, body, schema):
-    """The Dataset of a CSV body under ``header``; errors do not name the file."""
+def _encode_csv(header, fh, schema):
+    """The Dataset of the CSV body left in ``fh`` under ``header``; errors do
+    not name the file."""
     missing = [c.name for c in schema.columns if c.kind != "ignore" and c.name not in header]
     if missing:
         raise DataError(f"missing required columns: {missing}")
     col_of = {name: j for j, name in enumerate(header)}
     used = [c for c in schema.columns if c.kind != "ignore"]
     numeric = [c.name for c in used if c.kind != "categorical"]
-    block = _read_numeric(body, [col_of[name] for name in numeric])
-
-    raw = {}
-    if block is None or len(numeric) < len(used):
-        rows = list(csv.reader(io.StringIO(body, newline="")))
-        for c in used:
-            if block is None or c.kind == "categorical":
-                raw[c.name] = _column_cells(rows, col_of[c.name], c.name)
-        if not rows:
-            raise DataError("no data rows")
+    block = _read_numeric(fh, [col_of[name] for name in numeric])
+    text = [(c.name, col_of[c.name]) for c in used if block is None or c.kind == "categorical"]
+    raw = _body_cells(fh, text) if text else {}
 
     def values(name):
         if block is None:
@@ -437,7 +451,7 @@ def standardize(dataset: Dataset):
 
 def apply_standardize(dataset: Dataset, params: StandardizeParams) -> Dataset:
     """Apply learned moments (use the learning-set params on test data)."""
-    out = dataset.subset(np.arange(dataset.n))
+    out = copy.deepcopy(dataset)
     for name, mean, sd in zip(params.names, params.means, params.sds):
         j = out.feature_names.index(name)
         out.X[:, j] = (out.X[:, j] - mean) / sd

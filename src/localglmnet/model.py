@@ -149,16 +149,37 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 
     return params
 
 
-def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
-    """Run the attention tower, returning the per-layer activations.
+# Rows per block of the passes that only evaluate the model (attentions, input
+# Jacobians, evaluation loss): their temporaries scale with the block, not with n.
+EVAL_BLOCK_ROWS = 4096
 
-    ``acts[0]`` is the input X as a float array of shape (n, q) and
-    ``acts[m + 1]`` the output of layer m: tanh of its pre-activation for a
-    hidden layer, the pre-activation itself for the output layer.
-    """
+
+def _as_input(spec: ModelSpec, X) -> np.ndarray:
+    """X as a float array, which must have shape (n, q)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
+    return X
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of EVAL_BLOCK_ROWS consecutive rows covering n rows.
+
+    A lone last row joins the block before it: numpy multiplies a single row
+    by a vector-matrix product, which rounds differently from the matrix
+    product that the row gets in one whole-array pass.
+    """
+    stops = [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
+
+
+def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
+    """Run the attention tower on a checked input, returning the per-layer activations.
+
+    ``acts[0]`` is X and ``acts[m + 1]`` the output of layer m: tanh of its
+    pre-activation for a hidden layer, the pre-activation itself for the
+    output layer.
+    """
     acts = [X]
     for m in range(spec.depth):
         a = acts[-1] @ params.weights[m] + params.biases[m]
@@ -171,7 +192,7 @@ def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
 def forward(params: Params, spec: ModelSpec, X: np.ndarray,
             v: np.ndarray | None = None) -> ForwardTrace:
     """Full forward pass: attentions, linear predictor, and response mean."""
-    acts = _tower(params, spec, X)
+    acts = _tower(params, spec, _as_input(spec, X))
     X = acts[0]
     beta = acts[-1]
     eta = params.beta0 + np.sum(beta * X, axis=1)
@@ -185,8 +206,13 @@ def forward(params: Params, spec: ModelSpec, X: np.ndarray,
 
 
 def attention(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
-    """Regression attentions beta_j(x_i) as an (n, q) matrix."""
-    return _tower(params, spec, X)[-1]
+    """Regression attentions beta_j(x_i) as an (n, q) matrix, run EVAL_BLOCK_ROWS rows
+    at a time."""
+    X = _as_input(spec, X)
+    beta = np.empty(X.shape)
+    for rows in _row_blocks(X.shape[0]):
+        beta[rows] = _tower(params, spec, X[rows])[-1]
+    return beta
 
 
 def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
@@ -233,18 +259,17 @@ def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.n
     each tanh layer with output z, sharing one forward pass across all q
     outputs. The output layer is linear, so it adds no factor. The skip
     connection does not enter the attentions, so only the tower is
-    differentiated.
+    differentiated. Runs EVAL_BLOCK_ROWS rows at a time.
     """
-    acts = _tower(params, spec, X)
-    if spec.depth == 1:  # one linear layer: the same W_0^T for every row
-        return np.repeat(params.weights[0].T[None], acts[0].shape[0], axis=0)
-    z = acts[1][:, :, None]
-    J = (1.0 - z * z) * params.weights[0].T  # (n, q_1, q)
-    for m in range(1, spec.depth):
-        J = np.matmul(params.weights[m].T, J)  # (q_{m+1}, q_m) @ (n, q_m, q)
-        if m < spec.depth - 1:
-            z = acts[m + 1][:, :, None]
-            J *= 1.0 - z * z
+    X = _as_input(spec, X)
+    J = np.empty((X.shape[0], spec.q, spec.q))
+    for rows in _row_blocks(X.shape[0]):
+        acts = _tower(params, spec, X[rows])
+        Jb = params.weights[0].T  # broadcast over the block's rows
+        for m in range(1, spec.depth):  # (q_{m+1}, q_m) @ (b, q_m, q)
+            z = acts[m][:, :, None]
+            Jb = np.matmul(params.weights[m].T, (1.0 - z * z) * Jb)
+        J[rows] = Jb
     return J
 
 

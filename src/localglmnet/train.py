@@ -16,7 +16,8 @@ from .data import write_rows
 from .errors import ConfigError, NumericError
 from .families import get_family, fit_null
 from .linalg import rng_stream
-from .model import ModelSpec, Params, init_params, forward, loss_and_param_grads
+from .model import (ModelSpec, Params, _as_input, _row_blocks, forward, init_params,
+                    loss_and_param_grads)
 
 __all__ = [
     "TrainConfig",
@@ -126,10 +127,16 @@ def nadam_step(params: Params, grads: Params, m: np.ndarray, v: np.ndarray, t: i
 
 
 def evaluate_loss(params: Params, spec: ModelSpec, dataset) -> float:
-    """Mean deviance of the model on a dataset."""
-    family = get_family(spec.family)
-    trace = forward(params, spec, dataset.X, dataset.v)
-    return family.loss(dataset.y, trace.mu)
+    """Mean deviance of the model on a dataset.
+
+    The means come from forward passes over blocks of EVAL_BLOCK_ROWS rows,
+    so no pass holds every layer's activations for all rows at once.
+    """
+    X = _as_input(spec, dataset.X)
+    mu = np.empty(X.shape[0])
+    for rows in _row_blocks(X.shape[0]):
+        mu[rows] = forward(params, spec, X[rows], dataset.v[rows]).mu
+    return get_family(spec.family).loss(dataset.y, mu)
 
 
 def fit(dataset, spec: ModelSpec, config: TrainConfig):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,64 @@ class TestFastCsvIo:
         path.write_text("x1,y\n1.0,2.0\n\n3.0,4.0\n")
         with pytest.raises(DataError, match="row 2, column 'x1': missing value"):
             load_csv(path, parse_schema("x1: continuous\ny: response\n"))
+
+    @staticmethod
+    def no_per_cell_parse(monkeypatch):
+        def refuse(cells, col):
+            raise AssertionError(f"column {col!r} went through the per-cell reader")
+        monkeypatch.setattr(data_mod, "_parse_column", refuse)
+
+    def test_quote_on_last_row_falls_back(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text('x1,junk,y\n1.5,a,2.5\n3.5,b,4.5\n5.5,"c,d",6.5\n')
+        schema = parse_schema("x1: continuous\njunk: ignore\ny: response\n")
+        parsed, parse_column = [], data_mod._parse_column
+
+        def spy(cells, col):
+            parsed.append(col)
+            return parse_column(cells, col)
+
+        monkeypatch.setattr(data_mod, "_parse_column", spy)
+        ds = load_csv(path, schema)
+        assert sorted(parsed) == ["x1", "y"]  # the per-cell reader ran
+        assert ds.X[:, 0].tolist() == [1.5, 3.5, 5.5] and ds.y.tolist() == [2.5, 4.5, 6.5]
+        assert outcome(load_csv, path, schema) == outcome(reference_load_csv, path, schema)
+
+    @pytest.mark.parametrize("text", ["x1,y\r1.5,2.5\r3.5,4.5\r", "x1,y\r1.5,2.5\r3.5,4.5",
+                                      "x1,y\n1.5,2.5\n3.5,4.5", "x1,y\r\n1.5,2.5\r\n3.5,4.5"])
+    def test_line_ends_stay_on_the_fast_path(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        schema = parse_schema("x1: continuous\ny: response\n")
+        want = outcome(reference_load_csv, path, schema)
+        self.no_per_cell_parse(monkeypatch)
+        ds = load_csv(path, schema)
+        assert ds.X[:, 0].tolist() == [1.5, 3.5] and ds.y.tolist() == [2.5, 4.5]
+        assert outcome(load_csv, path, schema) == want
+
+    def test_categorical_file_parses_numbers_with_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("c,x1,y,v\nA,1.5,2.5,0.5\nB,3.5,4.5,1.0\nA,5.5,6.5,2.0\n")
+        schema = parse_schema("c: categorical\nx1: continuous\ny: response\nv: exposure\n")
+        want = outcome(reference_load_csv, path, schema)
+        self.no_per_cell_parse(monkeypatch)
+        ds = load_csv(path, schema)
+        assert ds.feature_names == ["c=A", "c=B", "x1"]
+        assert outcome(load_csv, path, schema) == want
+
+    def test_parse_memory_is_bounded_by_the_output(self, tmp_path):
+        """Peak traced allocation of a 20k-row parse over the bytes it returns.
+        Holding the body as a string and again as a StringIO read 12.1."""
+        learn, _ = synth_generate(20000, 1, rng_stream(20, "memory"))
+        path = tmp_path / "learn.csv"
+        write_csv(learn, path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, synth_schema())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (ds.X.nbytes + ds.y.nbytes + ds.v.nbytes) < 4
 
     @pytest.mark.parametrize("with_v", [False, True])
     def test_write_matches_reference_bytes(self, tmp_path, monkeypatch, with_v):

@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from localglmnet import (
     rng_stream,
     save_model,
 )
+from localglmnet import model as model_mod
+from localglmnet.data import Dataset
 from localglmnet.errors import ConfigError, NumericError
-from localglmnet.train import TrainConfig, nadam_step
+from localglmnet.train import TrainConfig, evaluate_loss, nadam_step
 
 
 def zero_params(spec, beta0=0.0):
@@ -359,6 +363,140 @@ class TestInputJacobian:
         for i in range(9):
             assert_allclose(JB[i], batch_input_jacobian(params, spec, X[i][None])[0],
                             atol=1e-14)
+
+
+
+def whole_array_jacobian(params, spec, X):
+    """Input Jacobians from one whole-array tower pass: the unblocked reference."""
+    acts = model_mod._tower(params, spec, np.asarray(X, dtype=float))
+    if spec.depth == 1:
+        return np.repeat(params.weights[0].T[None], len(X), axis=0)
+    z = acts[1][:, :, None]
+    J = (1.0 - z * z) * params.weights[0].T
+    for m in range(1, spec.depth):
+        J = np.matmul(params.weights[m].T, J)
+        if m < spec.depth - 1:
+            z = acts[m + 1][:, :, None]
+            J *= 1.0 - z * z
+    return J
+
+
+def random_tower(rng, depth, family="gaussian"):
+    """A tower of the given depth with random widths of at least 2 and random
+    weights and biases. A width-1 layer is a matrix-vector product, whose
+    rounding depends on the row's offset within the call, which a 7-row block
+    shifts; test_width_one_layers_agree_to_rounding covers it apart."""
+    widths = [int(w) for w in rng.integers(2, 10, size=depth)]
+    spec = ModelSpec(q=widths[0], hidden_dims=tuple(widths[1:]), family=family)
+    params = Params(spec.layer_dims)
+    params.flat[:] = 0.5 * rng.standard_normal(params.flat.size)
+    return spec, params
+
+
+class TestBlockedEvaluation:
+    """attention, batch_input_jacobian and evaluate_loss run over blocks of rows:
+    every output must equal one whole-array pass byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 15, 22])
+    def test_attention_and_jacobian_match_whole_array(self, n, depth):
+        rng = rng_stream(n * 10 + depth, "blocked")
+        spec, params = random_tower(rng, depth)
+        X = rng.standard_normal((n, spec.q))
+        whole = model_mod._tower(params, spec, X)[-1]
+        assert attention(params, spec, X).tobytes() == whole.tobytes()
+        assert (batch_input_jacobian(params, spec, X).tobytes()
+                == whole_array_jacobian(params, spec, X).tobytes())
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 15, 22])
+    def test_evaluate_loss_matches_whole_array(self, n, depth, family):
+        rng = rng_stream(n * 10 + depth, f"blocked-{family}")
+        spec, params = random_tower(rng, depth, family)
+        X = rng.standard_normal((n, spec.q))
+        if family == "poisson":
+            y, v = rng.poisson(1.0, n).astype(float), rng.uniform(0.1, 2.0, n)
+        else:
+            y, v = rng.standard_normal(n), np.ones(n)
+        ds = Dataset(X=X, y=y, v=v, feature_names=[f"x{j}" for j in range(spec.q)],
+                     feature_kinds=["continuous"] * spec.q, groups={})
+        whole = family_loss(params, spec, X, y, v)  # one forward pass over all n rows
+        assert np.float64(evaluate_loss(params, spec, ds)).tobytes() == \
+            np.float64(whole).tobytes()
+
+    def test_width_one_layers_agree_to_rounding(self):
+        rng = rng_stream(5, "width-one")
+        spec = ModelSpec(q=9, hidden_dims=(1, 12, 1))
+        params = Params(spec.layer_dims)
+        params.flat[:] = rng.standard_normal(params.flat.size)
+        X = rng.standard_normal((22, 9))
+        assert_allclose(attention(params, spec, X), model_mod._tower(params, spec, X)[-1],
+                        rtol=1e-14, atol=1e-14)
+        assert_allclose(batch_input_jacobian(params, spec, X),
+                        whole_array_jacobian(params, spec, X), rtol=1e-14, atol=1e-14)
+
+    def test_no_rows_give_empty_results(self):
+        spec = ModelSpec(q=3, hidden_dims=(4,))
+        params = init_params(spec, rng_stream(0, "empty"))
+        assert attention(params, spec, np.empty((0, 3))).shape == (0, 3)
+        assert batch_input_jacobian(params, spec, np.empty((0, 3))).shape == (0, 3, 3)
+        empty = Dataset(X=np.empty((0, 3)), y=np.empty(0), v=np.empty(0),
+                        feature_names=["a", "b", "c"], feature_kinds=["continuous"] * 3,
+                        groups={})
+        with pytest.raises(ValueError, match="need at least one observation"):
+            evaluate_loss(params, spec, empty)
+
+    @pytest.mark.parametrize("n", [0, 22])
+    def test_wrong_width_names_the_whole_shape(self, n):
+        spec = ModelSpec(q=3, hidden_dims=(4,))
+        params = init_params(spec, rng_stream(0, "width"))
+        X = np.ones((n, 2))
+        message = re.escape(f"X must have shape (n, 3), got ({n}, 2)")
+        ds = Dataset(X=X, y=np.ones(n), v=np.ones(n), feature_names=["a", "b"],
+                     feature_kinds=["continuous"] * 2, groups={})
+        for call in (lambda: attention(params, spec, X),
+                     lambda: batch_input_jacobian(params, spec, X),
+                     lambda: evaluate_loss(params, spec, ds)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match=re.escape("got (3,)")):
+            attention(params, spec, np.ones(3))
+
+
+class TestEvaluationMemory:
+    """Peak traced allocation of the evaluation passes on 20k rows of the
+    paper's 8-20-15-10-8 tower, over the bytes of their output. A whole-array
+    pass holds every layer for all rows (8.9 for attention, 5.2 for the
+    Jacobians); row blocks bound the temporaries by the block."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        rng = rng_stream(20, "memory")
+        spec = ModelSpec(q=8, hidden_dims=(20, 15, 10))
+        return spec, init_params(spec, rng), rng.standard_normal((20000, 8))
+
+    @staticmethod
+    def peak_ratio(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / out.nbytes
+
+    def test_attention(self, setting):
+        spec, params, X = setting
+        assert self.peak_ratio(lambda: attention(params, spec, X)) < 4
+
+    def test_batch_input_jacobian(self, setting):
+        spec, params, X = setting
+        assert self.peak_ratio(lambda: batch_input_jacobian(params, spec, X)) < 3
 
 
 class TestSerialization:
