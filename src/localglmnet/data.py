@@ -339,17 +339,37 @@ def load_csv(path, schema: Schema) -> Dataset:
     column when that fast read finds anything amiss, so errors name the
     row and the column. Categorical columns are one-hot encoded here, in
     schema-pinned or first-appearance level order. Every error message
-    starts with the path.
+    starts with the path; a file that is not UTF-8 is a DataError too.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file (header row required)") from None
-        try:
-            return _encode_csv([h.strip() for h in header], fh, schema)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path}: empty file (header row required)") from None
+            try:
+                return _encode_csv([h.strip() for h in header], fh, schema)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: {_undecodable(path)}") from None
+
+
+def _undecodable(path) -> str:
+    """Where the first byte that is not UTF-8 sits in the file at ``path``.
+
+    Only the error path reads the file again, in binary; a row counts its
+    line ends before that byte, as the numeric parse counts rows.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len((raw[:exc.start] + b"-").splitlines()) - 1
+        where = f"row {row}" if row else "header"
+        return f"{where}: byte 0x{raw[exc.start]:02x} is not valid UTF-8"
+    return "not valid UTF-8"
 
 
 def _encode_csv(header, fh, schema):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_rows
-from .model import ModelSpec, Params, batch_input_jacobian
+from .model import ModelSpec, Params, _as_input, _row_blocks, batch_input_jacobian
 
 __all__ = [
     "selection_stats",
@@ -38,6 +38,7 @@ DROP_MARGIN = 2.0
 N_KNOTS = 20
 SMOOTHING = 1.0
 GRID_SIZE = 200
+DEGREE = 3  # cubic splines
 
 
 def selection_stats(attention_col: np.ndarray):
@@ -165,6 +166,63 @@ def _greville(knots: np.ndarray, degree: int) -> np.ndarray:
                      for j in range(len(knots) - degree - 1)])
 
 
+def _place_knots(x: np.ndarray) -> np.ndarray:
+    """Knot vector of the smoother on the sample x: N_KNOTS interior knots at
+    empirical quantiles, and min x and max x each repeated DEGREE + 1 times."""
+    if x.size < 10:
+        raise ValueError(f"need at least 10 observations, got {x.size}")
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        raise ValueError("x is constant; cannot fit a curve")
+    qs = np.linspace(0.0, 1.0, N_KNOTS + 2)[1:-1]
+    interior = np.unique(np.quantile(x, qs))
+    interior = interior[(interior > lo) & (interior < hi)]
+    return np.r_[[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)]
+
+
+def _add_block(normal, knots: np.ndarray, x: np.ndarray, y: np.ndarray) -> list:
+    """Add one block's ``B^T B`` and ``B^T y`` to the normal equations ``normal``.
+
+    ``normal`` is ``[B^T B, B^T y]`` summed over the blocks so far, or None
+    before the first block, whose products are taken as they are: one block
+    gives the same bytes as one whole-array fit. Returns the updated list.
+    """
+    from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
+
+    B = BSpline.design_matrix(x, knots, DEGREE).toarray()
+    if normal is None:
+        return [B.T @ B, B.T @ y]
+    normal[0] += B.T @ B
+    normal[1] += B.T @ y
+    return normal
+
+
+def _solve(knots: np.ndarray, normal) -> tuple:
+    """``(grid, values)`` of the penalized fit with the summed normal equations."""
+    from scipy.interpolate import BSpline
+
+    g = _greville(knots, DEGREE)
+    p = g.size
+    dg = np.diff(g)
+    sbar = dg.mean()
+    D = np.zeros((p - 2, p))
+    for j in range(p - 2):
+        a, b = sbar / dg[j], sbar / dg[j + 1]
+        D[j, j] = a
+        D[j, j + 1] = -(a + b)
+        D[j, j + 2] = b
+
+    lhs = normal[0] + SMOOTHING * (D.T @ D)
+    rhs = normal[1]
+    try:
+        coef = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    grid = np.linspace(knots[0], knots[-1], GRID_SIZE)
+    values = BSpline.design_matrix(grid, knots, DEGREE).toarray() @ coef
+    return grid, values
+
+
 def smooth_curve(x: np.ndarray, y: np.ndarray):
     """Penalized cubic B-spline regression of y on x, evaluated on a grid.
 
@@ -175,45 +233,14 @@ def smooth_curve(x: np.ndarray, y: np.ndarray):
     any knot layout. ``y`` is a vector or an (n, m) matrix of m responses, which
     share one design and one solve. Returns ``(grid, values)`` over
     [min x, max x], with values shaped (GRID_SIZE,) or (GRID_SIZE, m).
+    The fit is the one-block case of the blocked fit in interaction_profiles.
     """
-    from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[0] != x.size:
         raise ValueError("x must be a vector and y a vector or matrix with one row per x")
-    if x.size < 10:
-        raise ValueError(f"need at least 10 observations, got {x.size}")
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        raise ValueError("x is constant; cannot fit a curve")
-    degree = 3
-    qs = np.linspace(0.0, 1.0, N_KNOTS + 2)[1:-1]
-    interior = np.unique(np.quantile(x, qs))
-    interior = interior[(interior > lo) & (interior < hi)]
-    knots = np.r_[[lo] * (degree + 1), interior, [hi] * (degree + 1)]
-
-    B = BSpline.design_matrix(x, knots, degree).toarray()
-    g = _greville(knots, degree)
-    p = B.shape[1]
-    dg = np.diff(g)
-    sbar = dg.mean()
-    D = np.zeros((p - 2, p))
-    for j in range(p - 2):
-        a, b = sbar / dg[j], sbar / dg[j + 1]
-        D[j, j] = a
-        D[j, j + 1] = -(a + b)
-        D[j, j + 2] = b
-
-    lhs = B.T @ B + SMOOTHING * (D.T @ D)
-    rhs = B.T @ y
-    try:
-        coef = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    grid = np.linspace(lo, hi, GRID_SIZE)
-    values = BSpline.design_matrix(grid, knots, degree).toarray() @ coef
-    return grid, values
+    knots = _place_knots(x)
+    return _solve(knots, _add_block(None, knots, x, y))
 
 
 @dataclass
@@ -241,23 +268,30 @@ def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,
     against its own feature.
 
     ``focal`` is a sequence of feature names; one InteractionProfile is
-    returned per name, in the order given, all from one Jacobian over X.
+    returned per name, in the order given. The Jacobian is evaluated once per
+    row, EVAL_BLOCK_ROWS rows at a time, and each block is added to the
+    smoother of every focal feature, whose knots come from its whole column.
     A flat curve for k == focal means the focal term is linear; a nonzero
     curve for k != focal reveals an interaction between the two features.
     """
     if isinstance(focal, str):
         raise TypeError(f"focal must be a sequence of feature names, not the str {focal!r}")
-    X = np.asarray(X, dtype=float)
+    X = _as_input(spec, X)
     names = list(feature_names) if feature_names is not None else \
         [f"x{j + 1}" for j in range(spec.q)]
     for name in focal:
         if name not in names:
             raise ValueError(f"unknown focal feature {name!r}")
-    jac = batch_input_jacobian(params, spec, X)  # (n, q, q)
+    cols = [names.index(name) for name in focal]
+    knots = [_place_knots(X[:, j]) for j in cols]
+    normal = [None] * len(cols)
+    for rows in _row_blocks(X.shape[0]):
+        jac = batch_input_jacobian(params, spec, X[rows])  # (b, q, q)
+        for f, j in enumerate(cols):
+            normal[f] = _add_block(normal[f], knots[f], X[rows, j], jac[:, j, :])
     profiles = []
-    for name in focal:
-        j = names.index(name)
-        grid, values = smooth_curve(X[:, j], jac[:, j, :])
+    for name, k, eq in zip(focal, knots, normal):
+        grid, values = _solve(k, eq)
         profiles.append(InteractionProfile(focal=name, feature_names=names,
                                            grid=grid, curves=values.T))
     return profiles

@@ -461,6 +461,21 @@ class TestExitCodes:
         assert code == 3
         assert "row 5, column 'x1': 'nan' is not a finite number" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_data_error_naming_the_row(self, workdir, tmp_path, capsys):
+        rows = [",".join(repr(float(x)) for x in r)
+                for r in np.random.default_rng(1).standard_normal((10001, 9))]
+        header = ",".join([f"x{j}" for j in range(1, 9)] + ["y"])
+        body = [line.encode() + b"\n" for line in [header] + rows]
+        body[5001] = b"\xff" + body[5001]  # data row 5001
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"".join(body))
+        code = run("fit", "--learn", bad, "--schema", workdir / "schema.txt",
+                   "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
+                   "--out-dir", tmp_path / "x")
+        assert code == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: row 5001: "
+                                           "byte 0xff is not valid UTF-8\n")
+
     def test_malformed_model_is_config_error(self, workdir, capsys):
         synth_dir, fit_dir = fit_small(workdir, n=300)
         doc = json.loads((fit_dir / "model.json").read_text())

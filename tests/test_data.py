@@ -121,6 +121,26 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown categorical level"):
             load_csv(p, parse_schema("c: categorical(A, B)\ny: response\n"))
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("row,offset", [(1, 0), (3, 0), (3, 4), (4, 2)])
+    def test_invalid_utf8_names_path_and_row(self, tmp_path, end, row, offset):
+        lines = ["x1,c,y", "1.0,A,2.0", "2.0,B,3.0", "3.0,A,4.0", "0.5,B,1.0"]
+        raw = bytearray(end.join(lines).encode() + end.encode())
+        raw.insert(sum(len(line) + len(end) for line in lines[:row]) + offset, 0xFF)
+        p = tmp_path / "d.csv"
+        p.write_bytes(bytes(raw))
+        for kinds in ("continuous", "categorical"):  # numeric fast path and csv reader
+            schema = parse_schema(f"x1: continuous\nc: {kinds}\ny: response\n")
+            with pytest.raises(DataError) as err:
+                load_csv(p, schema)
+            assert str(err.value) == f"{p}: row {row}: byte 0xff is not valid UTF-8"
+
+    def test_invalid_utf8_in_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x1,\xe9y\n1.0,2.0\n")
+        with pytest.raises(DataError, match="d.csv: header: byte 0xe9 is not valid UTF-8"):
+            load_csv(p, parse_schema("x1: continuous\ny: response\n"))
+
     def test_round_trip_write(self, tmp_path):
         learn, _ = synth_generate(20, 1, rng_stream(0, "rt"))
         out = tmp_path / "learn.csv"

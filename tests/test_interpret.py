@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from localglmnet import (
     ModelSpec,
+    batch_input_jacobian,
     coverage_and_verdict,
     init_params,
     interaction_profiles,
@@ -18,6 +20,7 @@ from localglmnet import (
     variable_importance,
 )
 from localglmnet import interpret
+from localglmnet import model as model_mod
 from localglmnet.model import Params
 
 
@@ -286,3 +289,93 @@ class TestInteractionProfiles:
         X = rng_stream(11, "ip").standard_normal((50, 2))
         with pytest.raises(ValueError, match="unknown focal feature 'x3'"):
             interaction_profiles(Params(spec.layer_dims), spec, X, ["x1", "x3"])
+
+
+def whole_array_profiles(params, spec, X):
+    """The unblocked reference: smooth_curve on the columns of one full
+    batch_input_jacobian, for every feature in turn."""
+    jac = batch_input_jacobian(params, spec, X)
+    return [smooth_curve(X[:, j], jac[:, j, :]) for j in range(spec.q)]
+
+
+def random_tower(rng, depth):
+    """A tower of the given depth with random widths of at least 2 (a width-1
+    layer rounds by its row offset within a call) and random parameters."""
+    widths = [int(w) for w in rng.integers(2, 10, size=depth)]
+    spec = ModelSpec(q=widths[0], hidden_dims=tuple(widths[1:]))
+    params = Params(spec.layer_dims)
+    params.flat[:] = 0.5 * rng.standard_normal(params.flat.size)
+    return spec, params
+
+
+class TestBlockedInteractions:
+    """interaction_profiles adds the Jacobian to every focal smoother block by
+    block; the curves must agree with one whole-array Jacobian and smoother."""
+
+    @staticmethod
+    def setting(n, depth):
+        rng = rng_stream(n * 10 + depth, "blocked-profiles")
+        spec, params = random_tower(rng, depth)
+        X = rng.standard_normal((n, spec.q))
+        names = [f"x{j + 1}" for j in range(spec.q)]
+        return spec, params, X, names
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [10, 14, 15, 22, 50])
+    def test_seven_row_blocks_match_whole_array(self, n, depth, monkeypatch):
+        spec, params, X, names = self.setting(n, depth)
+        want = whole_array_profiles(params, spec, X)
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+        got = interaction_profiles(params, spec, X, names)
+        for prof, (grid, values) in zip(got, want):
+            assert prof.grid.tobytes() == grid.tobytes()
+            assert_allclose(prof.curves, values.T, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [10, 14, 15, 22, 50])
+    def test_one_block_gives_the_reference_bytes(self, n, depth, monkeypatch):
+        spec, params, X, names = self.setting(n, depth)
+        want = whole_array_profiles(params, spec, X)
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", n)
+        got = interaction_profiles(params, spec, X, names)
+        for prof, (grid, values) in zip(got, want):
+            assert prof.grid.tobytes() == grid.tobytes()
+            assert prof.curves.tobytes() == values.T.tobytes()
+
+    @pytest.mark.parametrize("n", [10, 14, 15, 22, 50])
+    def test_jacobian_sees_every_row_once(self, n, monkeypatch):
+        spec, params, X, names = self.setting(n, 3)
+        blocks = []
+
+        def recorded(params, spec, X):
+            blocks.append(X.copy())
+            return batch_input_jacobian(params, spec, X)
+
+        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+        monkeypatch.setattr(interpret, "batch_input_jacobian", recorded)
+        interaction_profiles(params, spec, X, names)
+        assert sum(len(b) for b in blocks) == n
+        assert max(len(b) for b in blocks) <= 8
+        assert np.concatenate(blocks).tobytes() == X.tobytes()
+
+
+class TestInteractionMemory:
+    """Peak traced allocation of interaction_profiles on 100k rows of the
+    paper's 8-20-15-10-8 tower with all 8 focal features, over the bytes of X.
+    A whole-array Jacobian and n-row spline designs reach 11.8; row blocks
+    bound both by the block."""
+
+    def test_peak_is_bounded_by_the_block(self):
+        rng = rng_stream(22, "profile-memory")
+        spec = ModelSpec(q=8, hidden_dims=(20, 15, 10))
+        params = init_params(spec, rng)
+        X = rng.standard_normal((100_000, 8))
+        focal = [f"x{j + 1}" for j in range(8)]
+        interaction_profiles(params, spec, X[:100], focal)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            interaction_profiles(params, spec, X, focal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / X.nbytes < 4

@@ -274,6 +274,18 @@ class TestParamGradients:
         assert_grads_close(grads, fd_param_grads(params, spec, X[:3], y[:3], v[:3],
                                                  loss=extended_loss))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=3))
+    def test_poisson_exposure_matches_finite_differences_on_random_towers(self, seed, depth):
+        rng = rng_stream(seed, "fd-poisson-exposure")
+        spec, params = random_tower(rng, depth, "poisson")
+        X = rng.standard_normal((12, spec.q))
+        v = rng.uniform(0.2, 1.0, 12)
+        y = rng.poisson(v).astype(float)
+        _, grads = loss_and_param_grads(params, spec, X, y, v)
+        # extended_loss is the family's loss wherever eta stays in the clamp window
+        assert_grads_close(grads, fd_param_grads(params, spec, X, y, v, loss=extended_loss))
+
     def test_nadam_pulls_clamped_row_back_into_window(self):
         # beta(x) = W x + b with x = 1 puts eta = beta0 + W + b at 40, past the
         # window; the kept score drives every step back toward it.
