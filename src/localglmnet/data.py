@@ -323,6 +323,8 @@ def _read_numeric(lines, usecols):
             warnings.simplefilter("error")
             block = np.loadtxt(counted(), delimiter=",", comments=None, usecols=usecols,
                                ndmin=2)
+    except UnicodeDecodeError:
+        raise  # a ValueError, but no per-cell read can mend it
     except (ValueError, UserWarning):
         return None
     if quoted or n_lines == 0 or block.shape[0] != n_lines or not np.all(np.isfinite(block)):
