@@ -19,6 +19,7 @@ standardized with learning-set moments; one-hot columns stay 0/1.
 import copy
 import csv
 import dataclasses
+import io
 import math
 import re
 import types
@@ -360,18 +361,22 @@ def load_csv(path, schema: Schema) -> Dataset:
 def _undecodable(path) -> str:
     """Where the first byte that is not UTF-8 sits in the file at ``path``.
 
-    Only the error path reads the file again, in binary; a row counts its
-    line ends before that byte, as the numeric parse counts rows.
+    Only the error path reads the file again, in binary. The text before
+    that byte is valid UTF-8; its csv records, counted as the body parse
+    counts them, give the row, so a quoted line break moves no row number.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        row = len((raw[:exc.start] + b"-").splitlines()) - 1
+        before = raw[:exc.start].decode("utf-8")
+        # One more cell stands in for the bad byte: it ends the record the
+        # byte sits in, or starts the next one when the byte opens a record.
+        row = sum(1 for _ in csv.reader(io.StringIO(before + "-", newline=""))) - 1
         where = f"row {row}" if row else "header"
         return f"{where}: byte 0x{raw[exc.start]:02x} is not valid UTF-8"
-    return "not valid UTF-8"
+    return "not valid UTF-8"  # the file changed after the failed read
 
 
 def _encode_csv(header, fh, schema):

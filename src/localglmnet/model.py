@@ -259,28 +259,17 @@ def batch_input_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.n
     each tanh layer with output z, sharing one forward pass across all q
     outputs. The output layer is linear, so it adds no factor. The skip
     connection does not enter the attentions, so only the tower is
-    differentiated. Runs EVAL_BLOCK_ROWS rows at a time; an input of one
-    block is returned as that block's own result, without a copy.
+    differentiated. Runs EVAL_BLOCK_ROWS rows at a time.
     """
     X = _as_input(spec, X)
-    blocks = _row_blocks(X.shape[0])
-    if len(blocks) == 1:
-        return _block_jacobian(params, spec, X)
     J = np.empty((X.shape[0], spec.q, spec.q))
-    for rows in blocks:
-        J[rows] = _block_jacobian(params, spec, X[rows])
-    return J
-
-
-def _block_jacobian(params: Params, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
-    """batch_input_jacobian of one block of checked rows, as a fresh (b, q, q) array."""
-    acts = _tower(params, spec, X)
-    if spec.depth == 1:
-        return np.repeat(params.weights[0].T[None], X.shape[0], axis=0)
-    J = params.weights[0].T  # broadcast over the block's rows
-    for m in range(1, spec.depth):  # (q_{m+1}, q_m) @ (b, q_m, q)
-        z = acts[m][:, :, None]
-        J = np.matmul(params.weights[m].T, (1.0 - z * z) * J)
+    for rows in _row_blocks(X.shape[0]):
+        acts = _tower(params, spec, X[rows])
+        Jb = params.weights[0].T  # broadcast over the block's rows
+        for m in range(1, spec.depth):  # (q_{m+1}, q_m) @ (b, q_m, q)
+            z = acts[m][:, :, None]
+            Jb = np.matmul(params.weights[m].T, (1.0 - z * z) * Jb)
+        J[rows] = Jb
     return J
 
 

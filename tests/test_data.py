@@ -139,6 +139,22 @@ class TestLoadCsv:
             load_csv(p, parse_schema(f"x1: continuous\nc: {kind}\ny: response\n"))
         assert str(err.value) == f"{p}: row {row}: byte 0xff is not valid UTF-8"
 
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_invalid_utf8_row_counts_records_not_lines(self, tmp_path, offset):
+        # Row 2's quoted cell holds a line break; the byte in row 4 must be
+        # named as the csv reader numbers rows, as every other error is.
+        head = b'x1,c,y\n1.5,A,1\n2.5,"A\nB",2\n3.5,A,3\n'
+        p = tmp_path / "d.csv"
+        p.write_bytes(head + b"4.5,A,4\n"[:offset] + b"\xff" + b"4.5,A,4\n"[offset:])
+        with pytest.raises(DataError) as err:
+            load_csv(p, parse_schema("x1: continuous\nc: categorical\ny: response\n"))
+        assert str(err.value) == f"{p}: row 4: byte 0xff is not valid UTF-8"
+
+    def test_undecodable_on_a_valid_file(self, tmp_path):
+        # Reached only when the file changed after the failed text read.
+        p = self.write(tmp_path, "x1,y\n1.0,2.0\n")
+        assert data_mod._undecodable(p) == "not valid UTF-8"
+
     def test_invalid_utf8_in_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"x1,\xe9y\n1.0,2.0\n")

@@ -22,6 +22,7 @@ from localglmnet import (
 from localglmnet import interpret
 from localglmnet import model as model_mod
 from localglmnet.model import Params
+from test_model import random_tower
 
 
 def bisect_quantile(p, lo=-12.0, hi=12.0):
@@ -296,16 +297,6 @@ def whole_array_profiles(params, spec, X):
     batch_input_jacobian, for every feature in turn."""
     jac = batch_input_jacobian(params, spec, X)
     return [smooth_curve(X[:, j], jac[:, j, :]) for j in range(spec.q)]
-
-
-def random_tower(rng, depth):
-    """A tower of the given depth with random widths of at least 2 (a width-1
-    layer rounds by its row offset within a call) and random parameters."""
-    widths = [int(w) for w in rng.integers(2, 10, size=depth)]
-    spec = ModelSpec(q=widths[0], hidden_dims=tuple(widths[1:]))
-    params = Params(spec.layer_dims)
-    params.flat[:] = 0.5 * rng.standard_normal(params.flat.size)
-    return spec, params
 
 
 class TestBlockedInteractions:
