@@ -45,7 +45,7 @@ def _prepare_datasets(args, schema, seed):
     """Load, optionally add a control column, and standardize with learning moments."""
     learn_raw = data_mod.load_csv(args.learn, schema)
     test_raw = data_mod.load_csv(args.test, schema) if args.test else None
-    control = getattr(args, "add_control", "none")
+    control = args.add_control
     if control != "none":
         learn_raw = data_mod.add_control(learn_raw, control,
                                          rng_stream(seed, "control-learn"))
@@ -60,10 +60,8 @@ def _prepare_datasets(args, schema, seed):
 def _glm_design(dataset):
     """Design for the GLM baseline: standardized columns plus one-hot groups
     with a dropped reference level (full one-hot is deliberately not full rank)."""
-    drop = {idx[0] for idx in dataset.groups.values()}
-    cols = [j for j, kind in enumerate(dataset.feature_kinds)
-            if kind in data_mod.STANDARDIZED_KINDS or
-            (kind == "onehot" and j not in drop)]
+    kept = [j for idx in dataset.groups.values() for j in idx[1:]]
+    cols = sorted(dataset.standardized + kept)
     return dataset.X[:, cols], [dataset.feature_names[j] for j in cols]
 
 
@@ -130,7 +128,7 @@ def _fit_pipeline(args, schema):
         "feature_names": list(learn.feature_names),
         "feature_kinds": list(learn.feature_kinds),
         "groups": {k: list(v) for k, v in learn.groups.items()},
-        "control": getattr(args, "add_control", "none"),
+        "control": args.add_control,
     }
     save_model(os.path.join(args.out_dir, "model.json"), spec, params, preprocess)
     return 0
@@ -174,6 +172,19 @@ def _report_dataset(args, preprocess):
     return dataset
 
 
+def _load_report_inputs(args, min_sample):
+    """``(spec, params, dataset)`` of ``report`` and ``interactions``: checks
+    ``--sample`` against ``min_sample``, makes ``--out-dir``, loads the model
+    and encodes ``--data`` as its training data was encoded."""
+    if args.sample < min_sample:
+        raise ConfigError(f"--sample must be >= {min_sample}, got {args.sample}")
+    os.makedirs(args.out_dir, exist_ok=True)
+    spec, params, preprocess = load_model(args.model)
+    if preprocess is None:
+        raise ConfigError(f"{args.model}: model file carries no preprocessing block")
+    return spec, params, _report_dataset(args, preprocess)
+
+
 def _subsample(args, n):
     """Row selector for ``--sample``: a seeded draw of that many rows, sorted,
     or every row when it is 0 or at least n (a larger value warns)."""
@@ -186,30 +197,24 @@ def _subsample(args, n):
 
 
 def cmd_report(args):
-    if args.sample < 1:
-        raise ConfigError(f"--sample must be >= 1, got {args.sample}")
-    os.makedirs(args.out_dir, exist_ok=True)
-    spec, params, preprocess = load_model(args.model)
-    if preprocess is None:
-        raise ConfigError(f"{args.model}: model file carries no preprocessing block")
-    dataset = _report_dataset(args, preprocess)
-
+    spec, params, dataset = _load_report_inputs(args, min_sample=1)
+    if dataset.n < 2:
+        raise DataError(f"{args.data}: need at least 2 instances, got {dataset.n}")
     beta = attention(params, spec, dataset.X)
-    std_cols = [j for j, k in enumerate(dataset.feature_kinds)
-                if k in data_mod.STANDARDIZED_KINDS]
+    std_cols = dataset.standardized
     std_names = [dataset.feature_names[j] for j in std_cols]
 
     control = args.control
-    if control is None and preprocess.get("control", "none") != "none":
-        control = dataset.feature_names[-1]
+    if control is None:
+        control = next((name for name, kind in zip(dataset.feature_names, dataset.feature_kinds)
+                        if kind == "control"), None)
     if control is None:
         raise ConfigError("no control feature: pass --control or fit with --add-control")
     report = selection_report(beta[:, std_cols], std_names, control, args.alpha)
     report.write_csv(os.path.join(args.out_dir, "selection.csv"))
 
-    importance = variable_importance(
-        beta, dataset.feature_names,
-        standardized=[k in data_mod.STANDARDIZED_KINDS for k in dataset.feature_kinds])
+    importance = variable_importance(beta, dataset.feature_names,
+                                     standardized=[j in std_cols for j in range(dataset.q)])
     importance.write_csv(os.path.join(args.out_dir, "importance.csv"))
     order = importance.order
     _write(os.path.join(args.out_dir, "importance.svg"),
@@ -219,30 +224,19 @@ def cmd_report(args):
 
     pick = _subsample(args, dataset.n)
     X_pick, beta_pick = dataset.X[pick], beta[pick]
-    contrib = beta_pick * X_pick
-    ylim_beta = (float(beta_pick[:, std_cols].min()) - 0.05,
-                 float(beta_pick[:, std_cols].max()) + 0.05)
-    ylim_contrib = (float(contrib[:, std_cols].min()) - 0.05,
-                    float(contrib[:, std_cols].max()) + 0.05)
     guide = [(0.0, "#d62728"), (report.lo, "#17becf"), (report.hi, "#17becf")]
-    for j, name in zip(std_cols, std_names):
-        x = X_pick[:, j]
-        data_mod.write_rows(os.path.join(args.out_dir, f"attention_{name}.csv"),
-                            [name, "attention"],
-                            [[repr(float(a)), repr(float(b))]
-                             for a, b in zip(x, beta_pick[:, j])])
-        _write(os.path.join(args.out_dir, f"attention_{name}.svg"),
-               svg.scatter_svg(x, beta_pick[:, j], title=f"Attention: {name}",
-                               xlabel=name, ylabel="attention",
-                               hlines=guide, ylim=ylim_beta))
-        data_mod.write_rows(os.path.join(args.out_dir, f"contribution_{name}.csv"),
-                            [name, "contribution"],
-                            [[repr(float(a)), repr(float(c))]
-                             for a, c in zip(x, contrib[:, j])])
-        _write(os.path.join(args.out_dir, f"contribution_{name}.svg"),
-               svg.scatter_svg(x, contrib[:, j], title=f"Contribution: {name}",
-                               xlabel=name, ylabel="contribution",
-                               hlines=[(0.0, "#d62728")], ylim=ylim_contrib))
+    for kind, values, hlines in (("attention", beta_pick, guide),
+                                 ("contribution", beta_pick * X_pick, guide[:1])):
+        shown = values[:, std_cols]
+        ylim = (float(shown.min()) - 0.05, float(shown.max()) + 0.05)
+        for j, name in zip(std_cols, std_names):
+            x, v = X_pick[:, j], values[:, j]
+            stem = os.path.join(args.out_dir, f"{kind}_{name}")
+            data_mod.write_rows(stem + ".csv", [name, kind],
+                                [[repr(float(a)), repr(float(b))] for a, b in zip(x, v)])
+            _write(stem + ".svg", svg.scatter_svg(x, v, title=f"{kind.capitalize()}: {name}",
+                                                  xlabel=name, ylabel=kind,
+                                                  hlines=hlines, ylim=ylim))
 
     for group, cols in dataset.groups.items():
         rows, boxes = [], []
@@ -264,18 +258,20 @@ def cmd_report(args):
 
 
 def cmd_interactions(args):
-    if args.sample < 0:
-        raise ConfigError(f"--sample must be >= 0, got {args.sample}")
-    os.makedirs(args.out_dir, exist_ok=True)
-    spec, params, preprocess = load_model(args.model)
-    if preprocess is None:
-        raise ConfigError(f"{args.model}: model file carries no preprocessing block")
-    dataset = _report_dataset(args, preprocess)
+    spec, params, dataset = _load_report_inputs(args, min_sample=0)
     X = dataset.X[_subsample(args, dataset.n)]
-    std_names = [n for n, k in zip(dataset.feature_names, dataset.feature_kinds)
-                 if k in data_mod.STANDARDIZED_KINDS]
-    focal = [s.strip() for s in args.focal.split(",")] if args.focal else std_names
-    profiles = interaction_profiles(params, spec, X, focal, feature_names=dataset.feature_names)
+    if len(X) < 10 <= dataset.n:  # the spline smoother's minimum, see _place_knots
+        raise ConfigError(f"--sample {args.sample} leaves {len(X)} rows; "
+                          "interaction curves need at least 10")
+    names = dataset.feature_names
+    focal = [s.strip() for s in args.focal.split(",")] if args.focal else \
+        [names[j] for j in dataset.standardized]
+    try:
+        profiles = interaction_profiles(params, spec, X, focal, feature_names=names)
+    except ValueError as exc:
+        if not set(focal) <= set(names):  # an unknown --focal name
+            raise
+        raise DataError(f"{args.data}: {exc}") from None  # too few rows, or a constant column
     for name, profile in zip(focal, profiles):
         profile.write_csv(os.path.join(args.out_dir, f"interaction_{name}.csv"))
         curves = [(k, profile.curves[i]) for i, k in enumerate(profile.feature_names)]

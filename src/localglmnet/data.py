@@ -234,6 +234,11 @@ class Dataset:
     def q(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def standardized(self) -> list:
+        """Indices of the columns whose kind is in STANDARDIZED_KINDS, in order."""
+        return [j for j, k in enumerate(self.feature_kinds) if k in STANDARDIZED_KINDS]
+
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(X=self.X[idx], y=self.y[idx], v=self.v[idx],
@@ -465,7 +470,7 @@ def standardize(dataset: Dataset):
     dataset and the learned per-column moments. Constant columns raise
     (mark them ignore in the schema instead).
     """
-    idx = [j for j, k in enumerate(dataset.feature_kinds) if k in STANDARDIZED_KINDS]
+    idx = dataset.standardized
     names = [dataset.feature_names[j] for j in idx]
     means = np.array([dataset.X[:, j].mean() for j in idx])
     sds = np.array([dataset.X[:, j].std(ddof=1) for j in idx])

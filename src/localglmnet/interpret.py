@@ -166,35 +166,30 @@ def _greville(knots: np.ndarray, degree: int) -> np.ndarray:
                      for j in range(len(knots) - degree - 1)])
 
 
-def _place_knots(x: np.ndarray) -> np.ndarray:
+def _place_knots(x: np.ndarray, name: str = "x") -> np.ndarray:
     """Knot vector of the smoother on the sample x: N_KNOTS interior knots at
-    empirical quantiles, and min x and max x each repeated DEGREE + 1 times."""
+    empirical quantiles, and min x and max x each repeated DEGREE + 1 times.
+    ``name`` stands for x in the error message of a constant sample."""
     if x.size < 10:
         raise ValueError(f"need at least 10 observations, got {x.size}")
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
-        raise ValueError("x is constant; cannot fit a curve")
+        raise ValueError(f"{name} is constant; cannot fit a curve")
     qs = np.linspace(0.0, 1.0, N_KNOTS + 2)[1:-1]
     interior = np.unique(np.quantile(x, qs))
     interior = interior[(interior > lo) & (interior < hi)]
     return np.r_[[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)]
 
 
-def _add_block(normal, knots: np.ndarray, x: np.ndarray, y: np.ndarray) -> list:
-    """Add one block's ``B^T B`` and ``B^T y`` to the normal equations ``normal``.
-
-    ``normal`` is ``[B^T B, B^T y]`` summed over the blocks so far, or None
-    before the first block, whose products are taken as they are: one block
-    gives the same bytes as one whole-array fit. Returns the updated list.
-    """
+def _add_block(normal: list, knots: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Add one block's ``B^T B`` and ``B^T y`` to the normal equations ``normal``,
+    the list ``[B^T B, B^T y]`` summed over the blocks so far; callers start it
+    at ``[0.0, 0.0]``, so the first block is added like every other."""
     from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
 
     B = BSpline.design_matrix(x, knots, DEGREE).toarray()
-    if normal is None:
-        return [B.T @ B, B.T @ y]
     normal[0] += B.T @ B
     normal[1] += B.T @ y
-    return normal
 
 
 def _solve(knots: np.ndarray, normal) -> tuple:
@@ -202,16 +197,11 @@ def _solve(knots: np.ndarray, normal) -> tuple:
     from scipy.interpolate import BSpline
 
     g = _greville(knots, DEGREE)
-    p = g.size
     dg = np.diff(g)
-    sbar = dg.mean()
-    D = np.zeros((p - 2, p))
-    for j in range(p - 2):
-        a, b = sbar / dg[j], sbar / dg[j + 1]
-        D[j, j] = a
-        D[j, j + 1] = -(a + b)
-        D[j, j + 2] = b
-
+    # The P-spline difference penalty (Eilers & Marx 1996) on divided
+    # differences: each first difference is scaled by the mean spacing over
+    # its own, so D is the plain second difference at uniform spacing.
+    D = np.diff(np.diff(np.eye(g.size), axis=0) * (dg.mean() / dg)[:, None], axis=0)
     lhs = normal[0] + SMOOTHING * (D.T @ D)
     rhs = normal[1]
     try:
@@ -240,7 +230,9 @@ def smooth_curve(x: np.ndarray, y: np.ndarray):
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[0] != x.size:
         raise ValueError("x must be a vector and y a vector or matrix with one row per x")
     knots = _place_knots(x)
-    return _solve(knots, _add_block(None, knots, x, y))
+    normal = [0.0, 0.0]
+    _add_block(normal, knots, x, y)
+    return _solve(knots, normal)
 
 
 @dataclass
@@ -283,12 +275,12 @@ def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,
         if name not in names:
             raise ValueError(f"unknown focal feature {name!r}")
     cols = [names.index(name) for name in focal]
-    knots = [_place_knots(X[:, j]) for j in cols]
-    normal = [None] * len(cols)
+    knots = [_place_knots(X[:, j], f"column {name!r}") for name, j in zip(focal, cols)]
+    normal = [[0.0, 0.0] for _ in cols]
     for rows in _row_blocks(X.shape[0]):
         jac = batch_input_jacobian(params, spec, X[rows])  # (b, q, q)
         for f, j in enumerate(cols):
-            normal[f] = _add_block(normal[f], knots[f], X[rows, j], jac[:, j, :])
+            _add_block(normal[f], knots[f], X[rows, j], jac[:, j, :])
     profiles = []
     for name, k, eq in zip(focal, knots, normal):
         grid, values = _solve(k, eq)

@@ -1,12 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from localglmnet import interpret
-from localglmnet.cli import main
+from localglmnet.cli import _report_dataset, main
+from localglmnet.data import load_csv, parse_schema, standardize
+from localglmnet.model import ModelSpec, init_params, save_model
 
 SCHEMA = "".join(f"x{j}: continuous\n" for j in range(1, 9)) + "y: response\n"
 MODEL_SPEC = "hidden_dims = 8,6\nfamily = gaussian\nlink = identity\n"
@@ -288,6 +297,95 @@ class TestInteractions:
         assert not out.exists()
 
 
+class TestTooSmallOrConstantData:
+    """Data too small or constant for report and interactions is a data error
+    naming the file; a --sample too small for the smoother is a config error."""
+
+    def write_rows(self, workdir, name, lines):
+        path = workdir / name
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def interactions(self, fit_dir, data, workdir, *extra):
+        return run("interactions", "--model", fit_dir / "model.json", "--data", data,
+                   "--schema", workdir / "schema.txt", "--out-dir", workdir / "inter", *extra)
+
+    def test_constant_column_names_file_and_column(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        lines = (synth_dir / "learn.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[2] = "0.5"
+        bad = self.write_rows(workdir, "flat_x3.csv", [lines[0]] + [",".join(r) for r in rows])
+        assert self.interactions(fit_dir, bad, workdir) == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: column 'x3' is constant; "
+                                           "cannot fit a curve\n")
+
+    def test_too_few_rows_for_interactions_names_file(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        lines = (synth_dir / "learn.csv").read_text().splitlines()
+        bad = self.write_rows(workdir, "five.csv", lines[:6])
+        assert self.interactions(fit_dir, bad, workdir) == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: need at least 10 "
+                                           "observations, got 5\n")
+
+    def test_sample_leaving_too_few_rows_is_config_error(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        assert self.interactions(fit_dir, synth_dir / "learn.csv", workdir,
+                                 "--sample", 5) == 2
+        assert capsys.readouterr().err == ("configuration error: --sample 5 leaves 5 rows; "
+                                           "interaction curves need at least 10\n")
+
+    def test_unknown_focal_stays_config_error(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        assert self.interactions(fit_dir, synth_dir / "learn.csv", workdir,
+                                 "--focal", "x1,x9") == 2
+        assert capsys.readouterr().err == ("configuration error: unknown focal "
+                                           "feature 'x9'\n")
+
+    def test_one_row_report_names_file(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        lines = (synth_dir / "test.csv").read_text().splitlines()
+        bad = self.write_rows(workdir, "one.csv", lines[:2])
+        assert run("report", "--model", fit_dir / "model.json", "--data", bad,
+                   "--schema", workdir / "schema.txt", "--control", "x7",
+                   "--out-dir", workdir / "rep") == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: need at least 2 instances, "
+                                           "got 1\n")
+
+
+class TestLazyScipyImports:
+    """scipy is imported only by the functions that need it."""
+
+    SCRIPT = ("import sys\n"
+              "from localglmnet.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+
+    def scipy_modules(self, *argv):
+        src = os.path.dirname(os.path.dirname(interpret.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT, *map(str, argv)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        code, *modules = out.split()
+        assert code == "0"
+        return modules
+
+    def test_synth_loads_no_scipy(self, workdir):
+        assert self.scipy_modules("synth", "--n-learn", 20, "--n-test", 20,
+                                  "--out-dir", workdir / "s") == []
+
+    def test_report_loads_scipy_special_but_not_interpolate(self, workdir):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        modules = self.scipy_modules("report", "--model", fit_dir / "model.json",
+                                     "--data", synth_dir / "test.csv",
+                                     "--schema", workdir / "schema.txt", "--control", "x7",
+                                     "--sample", 50, "--out-dir", workdir / "rep")
+        assert "scipy.special" in modules
+        assert not [m for m in modules if m.startswith("scipy.interpolate")]
+
+
 class TestCategoricalLevels:
     """report and interactions encode categories with the training levels."""
 
@@ -354,6 +452,71 @@ class TestCategoricalLevels:
         assert len(part) == 3
         svg = (tmp_path / "rep_without_b" / "onehot_brand.svg").read_text()
         assert ">A</text>" in svg and ">C</text>" in svg and ">B</text>" not in svg
+
+
+class TestReportEncodingProperty:
+    """A report CSV is encoded against the training levels, whatever levels it
+    uses and in whatever order they first appear."""
+
+    SCHEMA = "x1: continuous\nbrand: categorical\ny: response\n"
+
+    @staticmethod
+    def write_csv(path, brands):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x1,brand,y\n" + "".join(f"{i}.5,{b},{i % 3}.0\n"
+                                              for i, b in enumerate(brands)))
+
+    def preprocess(self, directory, levels):
+        """The preprocessing block fit writes for a learning set with ``levels``."""
+        learn = os.path.join(directory, "learn.csv")
+        self.write_csv(learn, levels + levels[::-1])
+        ds, std = standardize(load_csv(learn, parse_schema(self.SCHEMA)))
+        return {"standardize": std.to_dict(), "feature_names": ds.feature_names,
+                "feature_kinds": ds.feature_kinds, "groups": ds.groups, "control": "none"}
+
+    level_sets = st.lists(st.text(alphabet="abAB01=_-.", min_size=1, max_size=3),
+                          min_size=2, max_size=6, unique=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(level_sets, st.data())
+    def test_rows_take_the_column_of_their_own_level(self, levels, data):
+        used = data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=20))
+        with tempfile.TemporaryDirectory() as directory:
+            pre = self.preprocess(directory, levels)
+            args = argparse.Namespace(data=os.path.join(directory, "report.csv"),
+                                      schema=os.path.join(directory, "schema.txt"), seed=1)
+            with open(args.schema, "w", encoding="utf-8") as fh:
+                fh.write(self.SCHEMA)
+            self.write_csv(args.data, used)
+            ds = _report_dataset(args, pre)
+        assert ds.feature_names == ["x1"] + [f"brand={lv}" for lv in levels]
+        assert np.array_equal(ds.X[:, pre["groups"]["brand"]],
+                              np.eye(len(levels))[[levels.index(b) for b in used]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(level_sets, st.data())
+    def test_unseen_level_exits_3_naming_file_and_column(self, levels, data):
+        used = data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=20))
+        new = data.draw(st.text(alphabet="abAB01=_-.", min_size=1, max_size=3)
+                        .filter(lambda lv: lv not in levels))
+        row = data.draw(st.integers(min_value=0, max_value=len(used)))
+        used.insert(row, new)
+        with tempfile.TemporaryDirectory() as directory:
+            pre = self.preprocess(directory, levels)
+            spec = ModelSpec(q=len(pre["feature_names"]))
+            model = os.path.join(directory, "model.json")
+            save_model(model, spec, init_params(spec, np.random.default_rng(0)), pre)
+            schema, bad = (os.path.join(directory, name) for name in ("schema.txt", "bad.csv"))
+            with open(schema, "w", encoding="utf-8") as fh:
+                fh.write(self.SCHEMA)
+            self.write_csv(bad, used)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["report", "--model", model, "--data", bad, "--schema", schema,
+                             "--control", "x1", "--out-dir", os.path.join(directory, "rep")])
+        assert code == 3
+        assert err.getvalue() == (f"data error: {bad}: row {row + 1}, column 'brand': "
+                                  f"unknown categorical level {new!r}\n")
 
 
 class TestDropRefit:

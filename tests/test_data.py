@@ -574,6 +574,36 @@ class TestAddControl:
             add_control(self.make(10), "cauchy", rng_stream(0, "c"))
 
 
+class TestDatasetStandardized:
+    """Dataset.standardized: the continuous, binary and control columns, in order."""
+
+    def make(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("a,brand,gas,b,y\n1.0,P,0,4.0,1.0\n2.0,Q,1,3.0,0.0\n"
+                        "3.0,R,1,1.0,1.0\n4.0,P,0,2.0,0.0\n")
+        schema = parse_schema("a: continuous\nbrand: categorical\ngas: binary\n"
+                              "b: continuous\ny: response\n")
+        return load_csv(path, schema)
+
+    def test_onehot_columns_left_out(self, tmp_path):
+        ds = self.make(tmp_path)
+        assert ds.feature_kinds == ["continuous", "onehot", "onehot", "onehot", "binary",
+                                    "continuous"]
+        assert ds.standardized == [0, 4, 5]
+
+    def test_holds_after_subset_and_add_control(self, tmp_path):
+        ds = self.make(tmp_path).subset([3, 1])
+        assert ds.standardized == [0, 4, 5]
+        ds = add_control(ds, "normal", rng_stream(1, "ctrl"))
+        assert ds.feature_kinds[6] == "control"
+        assert ds.standardized == [0, 4, 5, 6]
+
+    def test_standardize_scales_exactly_these_columns(self, tmp_path):
+        ds = self.make(tmp_path)
+        _, params = standardize(ds)
+        assert params.names == [ds.feature_names[j] for j in ds.standardized]
+
+
 class TestTrueMu:
     def test_zero_vector(self):
         assert true_mu(np.zeros(8)) == 0.0

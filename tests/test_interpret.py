@@ -232,6 +232,38 @@ class TestSmoothCurve:
             assert np.array_equal(grid, grid_k)
             assert_allclose(values[:, k], values_k, rtol=0.0, atol=1e-12)
 
+    @staticmethod
+    def loop_reference(x, y):
+        """The smoother with its penalty matrix filled entry by entry."""
+        from scipy.interpolate import BSpline
+
+        knots = interpret._place_knots(x)
+        g = interpret._greville(knots, interpret.DEGREE)
+        dg = np.diff(g)
+        sbar = dg.mean()
+        D = np.zeros((g.size - 2, g.size))
+        for j in range(g.size - 2):
+            a, b = sbar / dg[j], sbar / dg[j + 1]
+            D[j, j:j + 3] = a, -(a + b), b
+        B = BSpline.design_matrix(x, knots, interpret.DEGREE).toarray()
+        coef = np.linalg.solve(B.T @ B + interpret.SMOOTHING * (D.T @ D), B.T @ y)
+        grid = np.linspace(knots[0], knots[-1], interpret.GRID_SIZE)
+        return grid, BSpline.design_matrix(grid, knots, interpret.DEGREE).toarray() @ coef
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=10, max_value=300),
+           st.integers(min_value=4, max_value=25))
+    def test_same_bytes_as_the_entry_loop_penalty(self, seed, n, n_knots):
+        rng = rng_stream(seed, "sc-loop")
+        x = rng.standard_normal(n) ** 3  # uneven Greville spacing
+        Y = rng.standard_normal((n, 3)) + np.cos(x)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interpret, "N_KNOTS", n_knots)
+            grid, values = smooth_curve(x, Y)
+            ref_grid, ref_values = self.loop_reference(x, Y)
+        assert np.array_equal(grid, ref_grid)
+        assert np.array_equal(values, ref_values)
+
     def test_rejects_mismatched_rows(self):
         with pytest.raises(ValueError, match="one row per x"):
             smooth_curve(np.arange(20.0), np.zeros((19, 2)))
