@@ -260,7 +260,9 @@ def cmd_report(args):
 def cmd_interactions(args):
     spec, params, dataset = _load_report_inputs(args, min_sample=0)
     X = dataset.X[_subsample(args, dataset.n)]
-    if len(X) < 10 <= dataset.n:  # the spline smoother's minimum, see _place_knots
+    if len(X) < 10:  # the spline smoother's minimum, see _place_knots
+        if dataset.n < 10:
+            raise DataError(f"{args.data}: need at least 10 observations, got {dataset.n}")
         raise ConfigError(f"--sample {args.sample} leaves {len(X)} rows; "
                           "interaction curves need at least 10")
     names = dataset.feature_names
@@ -271,7 +273,7 @@ def cmd_interactions(args):
     except ValueError as exc:
         if not set(focal) <= set(names):  # an unknown --focal name
             raise
-        raise DataError(f"{args.data}: {exc}") from None  # too few rows, or a constant column
+        raise DataError(f"{args.data}: {exc}") from None  # a constant focal column
     for name, profile in zip(focal, profiles):
         profile.write_csv(os.path.join(args.out_dir, f"interaction_{name}.csv"))
         curves = [(k, profile.curves[i]) for i, k in enumerate(profile.feature_names)]

@@ -321,11 +321,12 @@ class TestTooSmallOrConstantData:
         assert capsys.readouterr().err == (f"data error: {bad}: column 'x3' is constant; "
                                            "cannot fit a curve\n")
 
-    def test_too_few_rows_for_interactions_names_file(self, workdir, capsys):
+    @pytest.mark.parametrize("sample", [0, 3])
+    def test_too_few_rows_for_interactions_names_file(self, workdir, capsys, sample):
         synth_dir, fit_dir = fit_small(workdir, n=300)
         lines = (synth_dir / "learn.csv").read_text().splitlines()
         bad = self.write_rows(workdir, "five.csv", lines[:6])
-        assert self.interactions(fit_dir, bad, workdir) == 3
+        assert self.interactions(fit_dir, bad, workdir, "--sample", sample) == 3
         assert capsys.readouterr().err == (f"data error: {bad}: need at least 10 "
                                            "observations, got 5\n")
 
