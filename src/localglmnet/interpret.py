@@ -55,9 +55,9 @@ def interval(alpha: float, sd_control: float):
         raise ValueError(f"significance level must be in (0, 1/2), got {alpha}")
     if sd_control < 0.0:
         raise ValueError(f"control sd must be >= 0, got {sd_control}")
-    from scipy.special import ndtri  # imported here so loading the CLI stays light
+    from statistics import NormalDist  # imported here so loading `fit` stays light
 
-    lo = float(ndtri(alpha / 2.0)) * sd_control
+    lo = NormalDist().inv_cdf(alpha / 2.0) * sd_control
     return lo, -lo
 
 
@@ -169,9 +169,11 @@ def _greville(knots: np.ndarray, degree: int) -> np.ndarray:
 def _place_knots(x: np.ndarray, name: str = "x") -> np.ndarray:
     """Knot vector of the smoother on the sample x: N_KNOTS interior knots at
     empirical quantiles, and min x and max x each repeated DEGREE + 1 times.
-    ``name`` stands for x in the error message of a constant sample."""
+    ``name`` stands for x in the error message of a non-finite or constant sample."""
     if x.size < 10:
         raise ValueError(f"need at least 10 observations, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has a non-finite value; cannot fit a curve")
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         raise ValueError(f"{name} is constant; cannot fit a curve")
@@ -181,21 +183,41 @@ def _place_knots(x: np.ndarray, name: str = "x") -> np.ndarray:
     return np.r_[[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)]
 
 
+def _design(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Dense (n, n_basis) cubic B-spline basis at x, by de Boor's recursion
+    (de Boor 1972) over all rows at once, in the operation order of FITPACK's
+    ``fpbspl`` (Dierckx), whose bytes the tests check. The interior knots are
+    unique, so ``xb > xa`` in every division."""
+    n_basis = knots.size - DEGREE - 1
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, DEGREE, n_basis - 1)
+    h = np.zeros((x.size, DEGREE + 1))
+    h[:, 0] = 1.0
+    for j in range(1, DEGREE + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xa, xb = knots[ell + m - j], knots[ell + m]
+            w = hh[:, m - 1] / (xb - xa)
+            h[:, m - 1] += w * (xb - x)
+            h[:, m] = w * (x - xa)
+    B = np.zeros((x.size, n_basis))
+    # + 0.0 turns the -0.0 of an x = -0.0 on a knot at 0 into 0.0, as a
+    # sparse basis added into a dense zero matrix does.
+    np.put_along_axis(B, ell[:, None] + np.arange(-DEGREE, 1), h + 0.0, axis=1)
+    return B
+
+
 def _add_block(normal: list, knots: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Add one block's ``B^T B`` and ``B^T y`` to the normal equations ``normal``,
     the list ``[B^T B, B^T y]`` summed over the blocks so far; callers start it
     at ``[0.0, 0.0]``, so the first block is added like every other."""
-    from scipy.interpolate import BSpline  # imported here so loading the CLI stays light
-
-    B = BSpline.design_matrix(x, knots, DEGREE).toarray()
+    B = _design(x, knots)
     normal[0] += B.T @ B
     normal[1] += B.T @ y
 
 
 def _solve(knots: np.ndarray, normal) -> tuple:
     """``(grid, values)`` of the penalized fit with the summed normal equations."""
-    from scipy.interpolate import BSpline
-
     g = _greville(knots, DEGREE)
     dg = np.diff(g)
     # The P-spline difference penalty (Eilers & Marx 1996) on divided
@@ -209,7 +231,7 @@ def _solve(knots: np.ndarray, normal) -> tuple:
     except np.linalg.LinAlgError:
         coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     grid = np.linspace(knots[0], knots[-1], GRID_SIZE)
-    values = BSpline.design_matrix(grid, knots, DEGREE).toarray() @ coef
+    values = _design(grid, knots) @ coef
     return grid, values
 
 
@@ -229,6 +251,8 @@ def smooth_curve(x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[0] != x.size:
         raise ValueError("x must be a vector and y a vector or matrix with one row per x")
+    if not np.isfinite(y).all():
+        raise ValueError("y has a non-finite value; cannot fit a curve")
     knots = _place_knots(x)
     normal = [0.0, 0.0]
     _add_block(normal, knots, x, y)

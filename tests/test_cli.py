@@ -377,14 +377,19 @@ class TestLazyScipyImports:
         assert self.scipy_modules("synth", "--n-learn", 20, "--n-test", 20,
                                   "--out-dir", workdir / "s") == []
 
-    def test_report_loads_scipy_special_but_not_interpolate(self, workdir):
+    def test_report_loads_no_scipy(self, workdir):
         synth_dir, fit_dir = fit_small(workdir, n=300)
-        modules = self.scipy_modules("report", "--model", fit_dir / "model.json",
-                                     "--data", synth_dir / "test.csv",
-                                     "--schema", workdir / "schema.txt", "--control", "x7",
-                                     "--sample", 50, "--out-dir", workdir / "rep")
-        assert "scipy.special" in modules
-        assert not [m for m in modules if m.startswith("scipy.interpolate")]
+        assert self.scipy_modules("report", "--model", fit_dir / "model.json",
+                                  "--data", synth_dir / "test.csv",
+                                  "--schema", workdir / "schema.txt", "--control", "x7",
+                                  "--sample", 50, "--out-dir", workdir / "rep") == []
+
+    def test_interactions_loads_no_scipy(self, workdir):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        assert self.scipy_modules("interactions", "--model", fit_dir / "model.json",
+                                  "--data", synth_dir / "learn.csv",
+                                  "--schema", workdir / "schema.txt", "--focal", "x1,x4",
+                                  "--out-dir", workdir / "int") == []
 
 
 class TestCategoricalLevels:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from localglmnet import (
@@ -85,6 +85,30 @@ class TestInterval:
         _, hi = interval(0.05, 1.0)
         assert hi == pytest.approx(bisect_quantile(0.975), abs=1e-9)
         assert hi == pytest.approx(1.959964, abs=1e-6)
+
+    def test_default_level_same_bytes_as_ndtri(self):
+        from scipy.special import ndtri
+
+        lo, hi = interval(0.001, 0.0461)
+        assert lo == float(ndtri(0.0005)) * 0.0461 and hi == -lo
+
+    def test_within_8_ulp_of_ndtri(self):
+        # Each quantile is within 8e-16 relative of the truth (below), so they
+        # can differ by a few ulp; 6 was the largest over 300k levels.
+        from scipy.special import ndtri
+
+        alphas = np.r_[np.linspace(1e-6, 0.5, 2001)[:-1], np.geomspace(1e-6, 0.5, 2001)[:-1]]
+        lo = np.array([interval(a, 1.0)[0] for a in alphas])
+        ref = ndtri(alphas / 2.0)
+        assert np.all(np.abs(lo - ref) <= 8 * np.spacing(np.abs(ref)))
+
+    def test_relative_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for a in np.linspace(1e-6, 0.5, 500, endpoint=False):
+                exact = -mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(a))
+                lo, _ = interval(a, 1.0)
+                assert abs((lo - exact) / exact) < 8e-16
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=2e-8, max_value=0.5, exclude_max=True))
@@ -216,6 +240,26 @@ class TestSmoothCurve:
         with pytest.raises(ValueError, match="constant"):
             smooth_curve(np.ones(20), np.arange(20.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x(self, bad):
+        x = np.arange(20.0)
+        x[7] = bad
+        with pytest.raises(ValueError):
+            smooth_curve(x, np.arange(20.0))
+
+    def test_non_finite_x_names_the_column(self):
+        x = np.arange(20.0)
+        x[3] = np.nan
+        with pytest.raises(ValueError, match="column 'x3' has a non-finite value"):
+            interpret._place_knots(x, "column 'x3'")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_y(self, bad):
+        Y = np.zeros((20, 2))
+        Y[11, 1] = bad
+        with pytest.raises(ValueError, match="y has a non-finite value"):
+            smooth_curve(np.arange(20.0), Y)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=10, max_value=300),
            st.integers(min_value=1, max_value=6), st.integers(min_value=4, max_value=25))
@@ -274,6 +318,31 @@ class TestSmoothCurve:
         grid, vals = smooth_curve(x, x**2)
         assert np.all(np.diff(grid) > 0)
         assert np.all(np.isfinite(vals))
+
+
+class TestDesign:
+    """The numpy basis against scipy's, the reference evaluator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=10, max_value=400),
+           st.sampled_from(["normal", "uniform", "exponential", "discrete", "ties"]))
+    def test_same_bytes_as_scipy(self, seed, n, kind):
+        from scipy.interpolate import BSpline
+
+        rng = rng_stream(seed, "design")
+        x = {"normal": lambda: rng.standard_normal(n),
+             "uniform": lambda: rng.uniform(-2.0, 3.0, n),
+             "exponential": lambda: rng.exponential(1.0, n),
+             "discrete": lambda: rng.integers(0, 5, n).astype(float),
+             "ties": lambda: np.round(rng.standard_normal(n), 1)}[kind]()
+        assume(x.min() < x.max())
+        knots = interpret._place_knots(x)
+        grid = np.linspace(knots[0], knots[-1], interpret.GRID_SIZE)
+        for at in (x, knots, grid):  # knots: every interior knot and both ends
+            B = interpret._design(at, knots)
+            ref = BSpline.design_matrix(at, knots, interpret.DEGREE).toarray()
+            assert B.tobytes() == ref.tobytes()
+            assert np.abs(B.sum(axis=1) - 1.0).max() <= 1e-15
 
 
 class TestInteractionProfiles:

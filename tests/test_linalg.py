@@ -66,7 +66,7 @@ class TestCholesky:
 
 
 class TestQuantile:
-    """The normal quantile behind interval (scipy.special.ndtri)."""
+    """The normal quantile behind interval (statistics.NormalDist.inv_cdf)."""
 
     def test_tail_value(self):
         # Half-width multiplier used by the 0.1% selection test.
