@@ -95,6 +95,9 @@ def _fit_pipeline(args, schema):
                 bad = int(np.argmax(ds.y < 0.0))
                 raise DataError(f"{path}: row {bad + 1}, column {schema.response!r}: "
                                 f"Poisson response must be >= 0, got {ds.y[bad]!r}")
+        if not np.any(learn_raw.y > 0.0):
+            raise DataError(f"{args.learn}: column {schema.response!r}: every Poisson response "
+                            "is 0, so the null and GLM means would be 0")
 
     def row(name, loss_of, datasets=(learn, test)):
         """Loss-table row: in-sample, then out-of-sample when a test set is given."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .linalg import _row_blocks
 
 __all__ = [
     "Gaussian",
@@ -157,15 +158,42 @@ class GlmFit:
         return self.family.inv(eta)
 
 
-def _check_full_rank(X: np.ndarray, column_names) -> None:
-    import scipy.linalg  # imported here so loading the CLI stays light
+def _r_factor(n: int, m: int, block_of) -> np.ndarray:
+    """The (m, m) R factor of the n-row matrix whose rows ``rows`` are ``block_of(rows)``.
 
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    Built by TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each row block is
+    stacked under the R so far and re-triangularized, so no n-row matrix is
+    ever formed. R^T R is the matrix's Gram matrix, so R has the matrix's
+    column norms and gives its least-squares solutions. Starting from a zero
+    R adds every block the same way and keeps R square when n < m.
+    """
+    R = np.zeros((m, m))
+    for rows in _row_blocks(n):
+        R = np.linalg.qr(np.vstack([R, block_of(rows)]), mode="r")
+    return R
+
+
+def _check_full_rank(X: np.ndarray, column_names) -> None:
+    """Raise NumericError naming the collinear columns when [1, X] is rank deficient.
+
+    The rank is read from a column-pivoted QR (Businger & Golub 1965) of the
+    small R factor of [1, X], which has the same column norms, so the same
+    pivots, as the design itself.
+    """
+    n, m = X.shape[0], X.shape[1] + 1
+    R = _r_factor(n, m, lambda rows: np.column_stack([np.ones(rows.stop - rows.start), X[rows]]))
+    piv = np.arange(m)
+    for k in range(m):
+        # Move the column of largest remaining norm to k, then reduce it.
+        j = k + int(np.argmax(np.sum(R[k:, k:] ** 2, axis=0)))
+        R[:, [k, j]] = R[:, [j, k]]
+        piv[[k, j]] = piv[[j, k]]
+        R[k:, k:] = np.linalg.qr(R[k:, k:], mode="r")
     diag = np.abs(np.diag(R))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps
+    tol = diag.max() * max(n, m) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        names = column_names or [f"col{j}" for j in range(X.shape[1] - 1)]
+    if rank < m:
+        names = column_names or [f"col{j}" for j in range(m - 1)]
         # Column 0 is the internal intercept; report the trailing pivots.
         bad = sorted(int(j) - 1 for j in piv[rank:])
         labels = ["intercept" if j < 0 else str(names[j]) for j in bad]
@@ -188,44 +216,47 @@ def fit_glm(
     the family uses one; exposures must then be positive. Converges when
     the relative deviance change drops below ``GLM_TOL`` (at most
     ``GLM_MAX_ITER`` iterations); rank-deficient designs raise
-    :class:`NumericError` naming the collinear columns.
+    :class:`NumericError` naming the collinear columns. Each weighted
+    least-squares step solves against the R factor of [sqrt(w), sqrt(w) X,
+    sqrt(w) z], built over row blocks, so no copy of the design is made.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    n, m = y.shape[0], X.shape[1] + 1
     family = family or Gaussian()
     v = np.ones(n) if v is None else np.asarray(v, dtype=float)
 
-    design = np.column_stack([np.ones(n), X])
-    _check_full_rank(design, column_names)
+    _check_full_rank(X, column_names)
     if family.uses_exposure and np.any(v <= 0.0):
         raise ValueError("exposures must be positive")
     offset = np.log(v) if family.uses_exposure else np.zeros(n)
 
     # Null start: intercept at the link-scale null value, slopes zero.
-    coef = np.zeros(design.shape[1])
+    coef = np.zeros(m)
     coef[0] = float(family.g(fit_null(y, v, family)))
 
-    def mean_of(c):
-        return family.inv(design @ c + offset)
+    def eta_of(c):
+        return c[0] + X @ c[1:] + offset
 
-    dev = family.loss(y, mean_of(coef))
+    dev = family.loss(y, family.inv(eta_of(coef)))
     n_iter = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n_iter in range(1, GLM_MAX_ITER + 1):
-            eta = design @ coef + offset
+            eta = eta_of(coef)
             mu = family.inv(eta)
             w = family.variance(mu)
             z = (eta - offset) + (y - mu) / np.maximum(w, 1e-300)
             sw = np.sqrt(w)
-            new_coef, *_ = np.linalg.lstsq(design * sw[:, None], z * sw, rcond=None)
+            R = _r_factor(n, m + 1, lambda rows: np.column_stack(
+                [sw[rows], X[rows] * sw[rows, None], z[rows] * sw[rows]]))
+            new_coef = np.linalg.solve(R[:m, :m], R[:m, m])
             # Step-halving keeps the deviance from increasing on bad steps.
             step = new_coef - coef
             new_dev = dev
             for _ in range(30):
                 cand = coef + step
                 try:
-                    new_dev = family.loss(y, mean_of(cand))
+                    new_dev = family.loss(y, family.inv(eta_of(cand)))
                 except ValueError:
                     new_dev = np.inf
                 if np.isfinite(new_dev) and new_dev <= dev + 1e-14 * max(1.0, abs(dev)):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_rows
-from .model import ModelSpec, Params, _as_input, _row_blocks, batch_input_jacobian
+from .linalg import _row_blocks
+from .model import ModelSpec, Params, _as_input, batch_input_jacobian
 
 __all__ = [
     "selection_stats",

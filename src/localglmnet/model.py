@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .families import get_family
+from .linalg import _row_blocks
 
 __all__ = [
     "ModelSpec",
@@ -149,28 +150,12 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, output_bias: float = 
     return params
 
 
-# Rows per block of the passes that only evaluate the model (attentions, input
-# Jacobians, evaluation loss): their temporaries scale with the block, not with n.
-EVAL_BLOCK_ROWS = 4096
-
-
 def _as_input(spec: ModelSpec, X) -> np.ndarray:
     """X as a float array, which must have shape (n, q)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.q:
         raise ValueError(f"X must have shape (n, {spec.q}), got {X.shape}")
     return X
-
-
-def _row_blocks(n: int) -> list:
-    """Slices of EVAL_BLOCK_ROWS consecutive rows covering n rows.
-
-    A lone last row joins the block before it: numpy multiplies a single row
-    by a vector-matrix product, which rounds differently from the matrix
-    product that the row gets in one whole-array pass.
-    """
-    stops = [*range(EVAL_BLOCK_ROWS, n - 1, EVAL_BLOCK_ROWS), n]
-    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
 
 
 def _tower(params: Params, spec: ModelSpec, X: np.ndarray):

@@ -15,9 +15,8 @@ import numpy as np
 from .data import write_rows
 from .errors import ConfigError, NumericError
 from .families import get_family, fit_null
-from .linalg import rng_stream
-from .model import (ModelSpec, Params, _as_input, _row_blocks, forward, init_params,
-                    loss_and_param_grads)
+from .linalg import _row_blocks, rng_stream
+from .model import ModelSpec, Params, _as_input, forward, init_params, loss_and_param_grads
 
 __all__ = [
     "TrainConfig",

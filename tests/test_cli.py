@@ -155,6 +155,25 @@ class TestFit:
         assert "bad.csv: row 5, column 'y'" in err
         assert not (tmp_path / "pfit" / "losses.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "drop-refit"])
+    def test_all_zero_poisson_learn_responses_are_data_error(self, workdir, tmp_path, capsys,
+                                                             command):
+        # The null frequency would be 0, whose log gives no GLM or network intercept.
+        (tmp_path / "pmodel.cfg").write_text("hidden_dims = 4\nfamily = poisson\n")
+        rows = np.random.default_rng(4).uniform(0.5, 1.0, (300, 3)).tolist()
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("x1,x2,y,v\n" + "".join(f"{a!r},{b!r},0.0,{c!r}\n" for a, b, c in rows))
+        (tmp_path / "pschema.txt").write_text(
+            "x1: continuous\nx2: continuous\ny: response\nv: exposure\n")
+        drop = ("--drop", "x2") if command == "drop-refit" else ()
+        assert run(command, "--learn", zeros, "--schema", tmp_path / "pschema.txt",
+                   "--spec", tmp_path / "pmodel.cfg", "--train-config", workdir / "train.cfg",
+                   "--out-dir", tmp_path / "pfit", "--seed", 2, *drop) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {zeros}: column 'y': every Poisson response is 0, so the null "
+            "and GLM means would be 0\n")
+        assert not (tmp_path / "pfit" / "losses.csv").exists()
+
     def test_determinism_full_pipeline(self, workdir):
         _, out1 = fit_small(workdir, out="d1")
         _, out2 = fit_small(workdir, out="d2")
@@ -356,7 +375,7 @@ class TestTooSmallOrConstantData:
 
 
 class TestLazyScipyImports:
-    """scipy is imported only by the functions that need it."""
+    """No command imports scipy; the tests keep it only as an oracle."""
 
     SCRIPT = ("import sys\n"
               "from localglmnet.cli import main\n"
@@ -376,6 +395,17 @@ class TestLazyScipyImports:
     def test_synth_loads_no_scipy(self, workdir):
         assert self.scipy_modules("synth", "--n-learn", 20, "--n-test", 20,
                                   "--out-dir", workdir / "s") == []
+
+    def test_fit_loads_no_scipy(self, workdir):
+        synth_dir = workdir / "synth"
+        assert run("synth", "--n-learn", 300, "--n-test", 300, "--seed", 5,
+                   "--out-dir", synth_dir) == 0
+        assert self.scipy_modules("fit", "--learn", synth_dir / "learn.csv",
+                                  "--test", synth_dir / "test.csv",
+                                  "--schema", workdir / "schema.txt",
+                                  "--spec", workdir / "model.cfg",
+                                  "--train-config", workdir / "train.cfg",
+                                  "--out-dir", workdir / "fit") == []
 
     def test_report_loads_no_scipy(self, workdir):
         synth_dir, fit_dir = fit_small(workdir, n=300)

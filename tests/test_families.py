@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from localglmnet import (
@@ -13,7 +15,9 @@ from localglmnet import (
     poisson_deviance,
     rng_stream,
 )
+from localglmnet import linalg
 from localglmnet.errors import NumericError
+from localglmnet.families import GLM_MAX_ITER, GLM_TOL
 
 
 class TestMseLoss:
@@ -163,3 +167,118 @@ class TestFitGlm:
         with pytest.raises(NumericError, match="collinear") as err:
             fit_glm(X, rng.standard_normal(50), column_names=["a", "b", "a_plus_b"])
         assert any(name in str(err.value) for name in ("a", "b", "a_plus_b"))
+
+
+def scipy_rank(X):
+    """Rank of the design [1, X] from scipy's pivoted QR, with fit_glm's tolerance."""
+    import scipy.linalg
+
+    design = np.column_stack([np.ones(len(X)), X])
+    _, R, _ = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return int(np.sum(diag > diag.max() * max(design.shape) * np.finfo(float).eps))
+
+
+def whole_design_irls(X, y, v, family):
+    """IRLS with step-halving that solves each step by lstsq on the whole
+    weighted design: the reference for the blocked R-factor solve."""
+    n = len(y)
+    design = np.column_stack([np.ones(n), X])
+    offset = np.log(v) if family.uses_exposure else np.zeros(n)
+    coef = np.zeros(design.shape[1])
+    coef[0] = family.g(fit_null(y, v, family))
+    dev = family.loss(y, family.inv(design @ coef + offset))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(GLM_MAX_ITER):
+            eta = design @ coef + offset
+            mu = family.inv(eta)
+            w = family.variance(mu)
+            z = (eta - offset) + (y - mu) / np.maximum(w, 1e-300)
+            sw = np.sqrt(w)
+            new_coef, *_ = np.linalg.lstsq(design * sw[:, None], z * sw, rcond=None)
+            step = new_coef - coef
+            for _ in range(30):
+                new_dev = family.loss(y, family.inv(design @ (coef + step) + offset))
+                if np.isfinite(new_dev) and new_dev <= dev + 1e-14 * max(1.0, abs(dev)):
+                    break
+                step = step / 2.0
+            coef = coef + step
+            prev, dev = dev, float(new_dev if np.isfinite(new_dev) else dev)
+            if abs(prev - dev) <= GLM_TOL * max(1.0, abs(prev)):
+                break
+    return coef
+
+
+class TestBlockedGlm:
+    """fit_glm works on the R factor of the design built over row blocks; with
+    7-row blocks it must agree with scipy's rank verdict and with IRLS on the
+    whole design."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=6, max_value=40),
+           st.integers(min_value=1, max_value=4), st.sampled_from(["gaussian", "poisson"]))
+    # n % 7 == 1: the lone last row joins the block before it.
+    @example(seed=1, n=8, p=3, family="gaussian")
+    @example(seed=2, n=15, p=4, family="poisson")
+    @example(seed=3, n=36, p=2, family="poisson")
+    def test_matches_whole_design_irls(self, seed, n, p, family):
+        rng = rng_stream(seed, "glm-blocked")
+        fam = get_family(family)
+        X = rng.standard_normal((n, p))
+        v = rng.uniform(0.2, 1.0, n) if fam.uses_exposure else np.ones(n)
+        eta = 0.2 + X @ rng.uniform(-0.5, 0.5, p)
+        # Positive Poisson responses, so the maximum-likelihood fit exists.
+        y = rng.exponential(v * np.exp(eta)) if fam.uses_exposure else eta + rng.standard_normal(n)
+        assert scipy_rank(X) == p + 1
+        fit = fit_glm(X, y, v, fam)
+        want = whole_design_irls(X, y, v, fam)
+        assert np.abs(np.r_[fit.beta0, fit.beta] - want).max() < 1e-8
+
+    @pytest.mark.parametrize("kind, names, dependent", [
+        ("sum", ["a", "b", "c", "a_plus_b"], {"a", "b", "a_plus_b"}),
+        ("duplicate", ["a", "b", "a_copy"], {"a", "a_copy"}),
+        ("constant", ["a", "const", "b"], {"intercept", "const"}),
+        ("one-hot", ["a", "g_1", "g_2", "g_3"], {"intercept", "g_1", "g_2", "g_3"}),
+    ])
+    def test_rank_deficient_designs(self, kind, names, dependent):
+        rng = rng_stream(11, f"glm-rank-{kind}")
+        n = 30
+        a, b, c = rng.standard_normal((3, n))
+        X = {"sum": np.column_stack([a, b, c, a + b]),
+             "duplicate": np.column_stack([a, b, a]),
+             "constant": np.column_stack([a, np.full(n, 3.0), b]),
+             "one-hot": np.column_stack([a, np.eye(3)[np.arange(n) % 3]])}[kind]
+        rank = scipy_rank(X)
+        assert rank == X.shape[1]  # one dependency among the p + 1 design columns
+        with pytest.raises(NumericError, match="rank deficient") as err:
+            fit_glm(X, rng.standard_normal(n), column_names=names)
+        named = str(err.value).split("collinear columns: ")[1].split(", ")
+        assert len(named) == X.shape[1] + 1 - rank
+        assert set(named) <= dependent
+
+
+class TestGlmMemory:
+    """Peak traced allocation of fit_glm on 100k x 8 rows over the bytes of X.
+    Copies of the design [1, X] for the rank check and of the weighted design
+    for each IRLS step reach 3.4; row blocks bound both by the block."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson"])
+    def test_peak_stays_near_the_input(self, family):
+        rng = rng_stream(25, "glm-memory")
+        fam = get_family(family)
+        X = rng.standard_normal((100_000, 8))
+        v = rng.uniform(0.2, 1.0, 100_000)
+        eta = 0.1 + X @ rng.uniform(-0.3, 0.3, 8)
+        y = rng.poisson(v * np.exp(eta)).astype(float) if fam.uses_exposure else eta
+        fit_glm(X[:100], y[:100], v[:100], fam)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            fit_glm(X, y, v, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / X.nbytes < 1.5

@@ -20,7 +20,7 @@ from localglmnet import (
     variable_importance,
 )
 from localglmnet import interpret
-from localglmnet import model as model_mod
+from localglmnet import linalg
 from localglmnet.model import Params
 from test_model import random_tower
 
@@ -417,7 +417,7 @@ class TestBlockedInteractions:
     def test_seven_row_blocks_match_whole_array(self, n, depth, monkeypatch):
         spec, params, X, names = self.setting(n, depth)
         want = whole_array_profiles(params, spec, X)
-        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", 7)
         got = interaction_profiles(params, spec, X, names)
         for prof, (grid, values) in zip(got, want):
             assert prof.grid.tobytes() == grid.tobytes()
@@ -428,7 +428,7 @@ class TestBlockedInteractions:
     def test_one_block_gives_the_reference_bytes(self, n, depth, monkeypatch):
         spec, params, X, names = self.setting(n, depth)
         want = whole_array_profiles(params, spec, X)
-        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", n)
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", n)
         got = interaction_profiles(params, spec, X, names)
         for prof, (grid, values) in zip(got, want):
             assert prof.grid.tobytes() == grid.tobytes()
@@ -443,7 +443,7 @@ class TestBlockedInteractions:
             blocks.append(X.copy())
             return batch_input_jacobian(params, spec, X)
 
-        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", 7)
         monkeypatch.setattr(interpret, "batch_input_jacobian", recorded)
         interaction_profiles(params, spec, X, names)
         assert sum(len(b) for b in blocks) == n

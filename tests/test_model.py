@@ -21,6 +21,7 @@ from localglmnet import (
     rng_stream,
     save_model,
 )
+from localglmnet import linalg
 from localglmnet import model as model_mod
 from localglmnet.data import Dataset
 from localglmnet.errors import ConfigError, NumericError
@@ -411,7 +412,7 @@ class TestBlockedEvaluation:
 
     @pytest.fixture(autouse=True)
     def seven_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "EVAL_BLOCK_ROWS", 7)
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", 7)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 15, 22])
