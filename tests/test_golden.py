@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of every file and stream of a small CLI pipeline.
 
 The pipeline is the determinism test's 2000-row ``synth`` with a 10-epoch
-``fit`` and a ``report``, then ``interactions`` on that model and a 2000-row
-Poisson ``fit`` with exposures. Every command runs as its own process, and
+``fit`` and a ``report``, then ``interactions`` on that model, a 2000-row
+Poisson ``fit`` with exposures, and a ``fit --add-control normal`` on a small
+CSV with a categorical column, whose GLM baseline drops a reference level. Every command runs as its own process, and
 its stdout and stderr count as outputs too. The test re-runs the pipeline
 and names every output whose digest differs from ``golden/SHA256SUMS``:
 text exactly, numbers bit for bit.
@@ -41,6 +42,10 @@ INPUTS = {
                            "expo: exposure\ny: response\n"),
     "poisson_model.cfg": "hidden_dims = 10,5\nfamily = poisson\n",
     "poisson_train.cfg": "batch_size = 250\nmax_epochs = 10\nseed = 3\n",
+    "categorical_schema.txt": ("x1: continuous\nbrand: categorical\nx2: continuous\n"
+                               "y: response\n"),
+    "categorical_model.cfg": "hidden_dims = 8,4\n",
+    "categorical_train.cfg": "batch_size = 100\nmax_epochs = 5\nseed = 13\n",
 }
 
 COMMANDS = [
@@ -57,6 +62,10 @@ COMMANDS = [
     ("poisson", ["fit", "--learn", "poisson.csv", "--schema", "poisson_schema.txt",
                  "--spec", "poisson_model.cfg", "--train-config", "poisson_train.cfg",
                  "--out-dir", "poisson"]),
+    ("categorical", ["fit", "--learn", "categorical_learn.csv",
+                     "--test", "categorical_test.csv", "--schema", "categorical_schema.txt",
+                     "--spec", "categorical_model.cfg", "--train-config", "categorical_train.cfg",
+                     "--add-control", "normal", "--out-dir", "categorical"]),
 ]
 
 
@@ -72,12 +81,27 @@ def write_poisson_csv(path, n=2000):
                       for (a, b, c), e, k in zip(X.tolist(), expo.tolist(), y))
 
 
+def write_categorical_csv(path, n, seed):
+    """Two continuous columns around a three-level brand with its own mean shift."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    brand = rng.choice(["A", "B", "C"], n)
+    shift = np.select([brand == "B", brand == "C"], [0.5, -0.3], 0.0)
+    y = 1.0 + 0.6 * X[:, 0] - 0.3 * X[:, 1] ** 2 + shift + 0.2 * rng.standard_normal(n)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x1,brand,x2,y\n")
+        fh.writelines(f"{a!r},{b},{c!r},{t!r}\n"
+                      for (a, c), b, t in zip(X.tolist(), brand, y.tolist()))
+
+
 def run_pipeline(workdir):
     """Run every command in ``workdir``; return {output name: sha256 hex digest}."""
     workdir = Path(workdir)
     for name, text in INPUTS.items():
         (workdir / name).write_text(text, encoding="utf-8")
     write_poisson_csv(workdir / "poisson.csv")
+    write_categorical_csv(workdir / "categorical_learn.csv", 600, 31)
+    write_categorical_csv(workdir / "categorical_test.csv", 300, 32)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     digests = {}
