@@ -65,7 +65,7 @@ from .train import (
     evaluate_loss,
     fit,
     nadam_step,
-    split_learn,
+    split_indices,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +77,7 @@ __all__ = [
     "mse_loss", "poisson_deviance", "fit_null", "fit_glm",
     "ModelSpec", "Params", "init_params", "forward", "attention",
     "loss_and_param_grads", "batch_input_jacobian", "save_model", "load_model",
-    "TrainConfig", "TrainHistory", "split_learn", "nadam_step",
+    "TrainConfig", "TrainHistory", "split_indices", "nadam_step",
     "evaluate_loss", "fit",
     "selection_stats", "interval", "coverage_and_verdict", "selection_report",
     "SelectionReport", "ImportanceReport", "variable_importance",

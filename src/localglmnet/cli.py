@@ -41,28 +41,11 @@ def _write_kv(path, pairs):
     _write(path, "".join(f"{k} = {v}\n" for k, v in pairs))
 
 
-def _prepare_datasets(args, schema, seed):
-    """Load, optionally add a control column, and standardize with learning moments."""
-    learn_raw = data_mod.load_csv(args.learn, schema)
-    test_raw = data_mod.load_csv(args.test, schema) if args.test else None
-    control = args.add_control
-    if control != "none":
-        learn_raw = data_mod.add_control(learn_raw, control,
-                                         rng_stream(seed, "control-learn"))
-        if test_raw is not None:
-            test_raw = data_mod.add_control(test_raw, control,
-                                            rng_stream(seed, "control-test"))
-    learn, std_params = data_mod.standardize(learn_raw)
-    test = data_mod.apply_standardize(test_raw, std_params) if test_raw is not None else None
-    return learn_raw, test_raw, learn, test, std_params
-
-
-def _glm_design(dataset):
-    """Design for the GLM baseline: standardized columns plus one-hot groups
+def _glm_columns(dataset):
+    """Columns of the GLM baseline: standardized columns plus one-hot groups
     with a dropped reference level (full one-hot is deliberately not full rank)."""
     kept = [j for idx in dataset.groups.values() for j in idx[1:]]
-    cols = sorted(dataset.standardized + kept)
-    return dataset.X[:, cols], [dataset.feature_names[j] for j in cols]
+    return sorted(dataset.standardized + kept)
 
 
 def cmd_synth(args):
@@ -86,37 +69,47 @@ def _fit_pipeline(args, schema):
     config = data_mod.read_config(args.train_config, TrainConfig)
     if args.seed is not None:
         config.seed = args.seed
-    learn_raw, test_raw, learn, test, std_params = _prepare_datasets(args, schema, config.seed)
+    learn = data_mod.load_csv(args.learn, schema)
+    test = data_mod.load_csv(args.test, schema) if args.test else None
+    control = args.add_control
+    if control != "none":
+        learn = data_mod.add_control(learn, control, rng_stream(config.seed, "control-learn"))
+        if test is not None:
+            test = data_mod.add_control(test, control, rng_stream(config.seed, "control-test"))
     spec = data_mod.read_config(args.spec, ModelSpec, q=learn.q)
     family = get_family(spec.family)
     if family.name == "poisson":
-        for path, ds in ((args.learn, learn_raw), (args.test, test_raw)):
+        for path, ds in ((args.learn, learn), (args.test, test)):
             if ds is not None and np.any(ds.y < 0.0):
                 bad = int(np.argmax(ds.y < 0.0))
                 raise DataError(f"{path}: row {bad + 1}, column {schema.response!r}: "
                                 f"Poisson response must be >= 0, got {ds.y[bad]!r}")
-        if not np.any(learn_raw.y > 0.0):
+        if not np.any(learn.y > 0.0):
             raise DataError(f"{args.learn}: column {schema.response!r}: every Poisson response "
                             "is 0, so the null and GLM means would be 0")
 
-    def row(name, loss_of, datasets=(learn, test)):
+    def row(name, loss_of):
         """Loss-table row: in-sample, then out-of-sample when a test set is given."""
-        return [name] + [repr(loss_of(ds)) for ds in datasets if ds is not None]
+        return [name] + [repr(loss_of(ds)) for ds in (learn, test) if ds is not None]
 
     rows = []
     if args.synthetic_truth:
-        if learn_raw.feature_names[:8] != [f"x{j}" for j in range(1, 9)]:
+        if learn.feature_names[:8] != [f"x{j}" for j in range(1, 9)]:
             raise ConfigError("--synthetic-truth needs feature columns x1..x8")
-        rows.append(row("true", lambda ds: family.loss(ds.y, data_mod.true_mu(ds.X[:, :8])),
-                        (learn_raw, test_raw)))
+        rows.append(row("true", lambda ds: family.loss(ds.y, data_mod.true_mu(ds.X[:, :8]))))
 
+    # Standardizing rebinds learn and test, so no raw copy is held from here on.
+    learn, std_params = data_mod.standardize(learn)
+    test = data_mod.apply_standardize(test, std_params) if test is not None else None
     null_value = fit_null(learn.y, learn.v, family)
     rows.append(row("null", lambda ds: family.loss(
         ds.y, ds.v * null_value if family.uses_exposure else np.full(ds.n, null_value))))
 
-    Xg, glm_names = _glm_design(learn)
-    glm = fit_glm(Xg, learn.y, learn.v, family, column_names=glm_names)
-    rows.append(row("glm", lambda ds: family.loss(ds.y, glm.predict(_glm_design(ds)[0], ds.v))))
+    cols = _glm_columns(learn)
+    glm = fit_glm(learn.X[:, cols], learn.y, learn.v, family,
+                  column_names=[learn.feature_names[j] for j in cols])
+    rows.append(row("glm", lambda ds: family.loss(
+        ds.y, glm.predict(ds.X[:, _glm_columns(ds)], ds.v))))
 
     params, history = fit(learn, spec, config)
     rows.append(row("localglmnet", lambda ds: evaluate_loss(params, spec, ds)))

@@ -490,13 +490,12 @@ def apply_standardize(dataset: Dataset, params: StandardizeParams) -> Dataset:
     return out
 
 
-def add_control(dataset: Dataset, dist: str, rng: np.random.Generator,
-                name: str | None = None) -> Dataset:
+def add_control(dataset: Dataset, dist: str, rng: np.random.Generator) -> Dataset:
     """Append an i.i.d. random control column, empirically standardized.
 
     The control is independent of everything else and calibrates the null
     fluctuation of the fitted attentions. ``dist`` is "uniform" or
-    "normal".
+    "normal", and the column is named "rand_u" or "rand_n" after it.
     """
     if dist == "uniform":
         col = rng.uniform(0.0, 1.0, size=dataset.n)
@@ -505,7 +504,7 @@ def add_control(dataset: Dataset, dist: str, rng: np.random.Generator,
     else:
         raise ValueError(f"control distribution must be 'uniform' or 'normal', got {dist!r}")
     col = (col - col.mean()) / col.std(ddof=1)
-    name = name or ("rand_u" if dist == "uniform" else "rand_n")
+    name = "rand_u" if dist == "uniform" else "rand_n"
     if name in dataset.feature_names:
         raise ValueError(f"feature column {name!r} already exists")
     return Dataset(

@@ -140,6 +140,16 @@ def fit_null(y: np.ndarray, v: np.ndarray | None = None, family=None) -> float:
     return float(np.sum(y) / total)
 
 
+def _null_eta(y: np.ndarray, v: np.ndarray, family) -> float:
+    """The null value on the link scale: the GLM's IRLS start and the network's
+    output bias. Raises ValueError when a log link meets a null mean of 0."""
+    mu = fit_null(y, v, family)
+    if family.link == "log" and mu == 0.0:
+        raise ValueError("every response is 0, so the null mean is 0 and its log is -inf; "
+                         "a log-link fit needs a positive response")
+    return float(family.g(mu))
+
+
 @dataclass
 class GlmFit:
     """Fitted GLM: intercept, coefficient vector, convergence info, family."""
@@ -233,7 +243,7 @@ def fit_glm(
 
     # Null start: intercept at the link-scale null value, slopes zero.
     coef = np.zeros(m)
-    coef[0] = float(family.g(fit_null(y, v, family)))
+    coef[0] = _null_eta(y, v, family)
 
     def eta_of(c):
         return c[0] + X @ c[1:] + offset

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import write_rows
 from .errors import ConfigError, NumericError
-from .families import get_family, fit_null
+from .families import _null_eta, get_family
 from .linalg import _row_blocks, rng_stream
 from .model import ModelSpec, Params, _as_input, forward, init_params, loss_and_param_grads
 
@@ -22,7 +22,6 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "split_indices",
-    "split_learn",
     "nadam_step",
     "evaluate_loss",
     "fit",
@@ -94,12 +93,6 @@ def split_indices(n: int, val_fraction: float, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def split_learn(dataset, val_fraction: float, rng: np.random.Generator):
-    """Split a dataset into (training, validation) parts."""
-    idx_train, idx_val = split_indices(dataset.n, val_fraction, rng)
-    return dataset.subset(idx_train), dataset.subset(idx_val)
-
-
 def nadam_step(params: Params, grads: Params, m: np.ndarray, v: np.ndarray, t: int,
                config: TrainConfig) -> None:
     """One Nadam update of ``params.flat`` and the moment vectors m, v, in place.
@@ -141,17 +134,19 @@ def evaluate_loss(params: Params, spec: ModelSpec, dataset) -> float:
 def fit(dataset, spec: ModelSpec, config: TrainConfig):
     """Train on a seeded train/validation split; return best-validation params.
 
-    The returned parameters are a full copy snapshotted at the epoch with
-    the smallest validation loss. History covers every epoch run.
+    Each batch is gathered from ``dataset`` by its rows' indices, so only the
+    validation rows are copied. The returned parameters are a full copy
+    snapshotted at the epoch with the smallest validation loss. History
+    covers every epoch run.
     """
     if dataset.q != spec.q:
         raise ConfigError(f"dataset has {dataset.q} feature columns, spec expects {spec.q}")
-    train_set, val_set = split_learn(dataset, config.val_fraction,
-                                     rng_stream(config.seed, "split"))
-    family = get_family(spec.family)
-    null_value = fit_null(train_set.y, train_set.v, family)
+    idx_train, idx_val = split_indices(dataset.n, config.val_fraction,
+                                       rng_stream(config.seed, "split"))
+    val_set = dataset.subset(idx_val)
     params = init_params(spec, rng_stream(config.seed, "init"),
-                         output_bias=float(family.g(null_value)))
+                         output_bias=_null_eta(dataset.y[idx_train], dataset.v[idx_train],
+                                               get_family(spec.family)))
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     shuffle_rng = rng_stream(config.seed, "shuffle")
 
@@ -160,16 +155,16 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
     best_val = np.inf
     n_clamped = 0
     t = 0
-    n_train = train_set.n
+    n_train = len(idx_train)
     for epoch in range(1, config.max_epochs + 1):
         tic = time.perf_counter()
-        order = shuffle_rng.permutation(n_train) if config.shuffle else np.arange(n_train)
+        order = idx_train[shuffle_rng.permutation(n_train)] if config.shuffle else idx_train
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             idx = order[start:start + config.batch_size]
             try:
-                loss, grads = loss_and_param_grads(params, spec, train_set.X[idx],
-                                                   train_set.y[idx], train_set.v[idx])
+                loss, grads = loss_and_param_grads(params, spec, dataset.X[idx],
+                                                   dataset.y[idx], dataset.v[idx])
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch starting at {start}: {exc}") from exc

@@ -116,6 +116,14 @@ class TestFitGlm:
         assert abs(fit.beta0) < 1e-12
         assert np.abs(fit.beta).max() < 1e-12
 
+    def test_all_zero_poisson_responses_raise(self):
+        # The log of a null mean of 0 is -inf: one clear error, no log warning.
+        X = rng_stream(4, "glm").standard_normal((30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every response is 0, so the null mean is 0"):
+                fit_glm(X, np.zeros(30), np.ones(30), get_family("poisson"))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_least_squares_oracle(self, seed):
         rng = rng_stream(seed, "glm-oracle")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,11 +18,10 @@ from localglmnet import (
     nadam_step,
     read_config,
     rng_stream,
-    split_learn,
+    split_indices,
 )
 from localglmnet.errors import ConfigError, NumericError
 from localglmnet.model import Params
-from localglmnet.train import split_indices
 
 
 def make_dataset(n, q, seed=0, noise=0.1):
@@ -64,7 +64,7 @@ class TestSplit:
 
     def test_dataset_split(self):
         ds = make_dataset(20, 3)
-        tr, va = split_learn(ds, 0.25, rng_stream(3, "split"))
+        tr, va = (ds.subset(idx) for idx in split_indices(ds.n, 0.25, rng_stream(3, "split")))
         assert tr.n == 15 and va.n == 5
         assert set(map(tuple, np.vstack([tr.X, va.X]))) == set(map(tuple, ds.X))
 
@@ -160,7 +160,8 @@ class TestFit:
         params, hist = fit(ds, spec, cfg)
         assert hist.best_val_loss == min(hist.val_loss)
         # Returned parameters reproduce the recorded best validation loss.
-        _, val = split_learn(ds, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        _, idx_val = split_indices(ds.n, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        val = ds.subset(idx_val)
         assert evaluate_loss(params, spec, val) == pytest.approx(hist.best_val_loss,
                                                                  abs=1e-12)
         assert hist.best_val_loss <= hist.val_loss[-1]
@@ -218,7 +219,8 @@ class TestFit:
         spec = ModelSpec(q=2, hidden_dims=(4,))
         cfg = TrainConfig(batch_size=1000, max_epochs=5, seed=21, shuffle=False)
         _, hist = fit(ds, spec, cfg)
-        train, val = split_learn(ds, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        train, val = (ds.subset(idx) for idx in
+                      split_indices(ds.n, cfg.val_fraction, rng_stream(cfg.seed, "split")))
         family = get_family(spec.family)
         params = init_params(spec, rng_stream(cfg.seed, "init"),
                              output_bias=float(family.g(fit_null(train.y, train.v, family))))
@@ -238,7 +240,8 @@ class TestFit:
         spec = ModelSpec(q=2)
         cfg = TrainConfig(batch_size=100, max_epochs=1, seed=23, shuffle=False)
         _, hist = fit(ds, spec, cfg)
-        train, _ = split_learn(ds, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        idx_train, _ = split_indices(ds.n, cfg.val_fraction, rng_stream(cfg.seed, "split"))
+        train = ds.subset(idx_train)
         family = get_family(spec.family)
         params = init_params(spec, rng_stream(cfg.seed, "init"),
                              output_bias=float(family.g(fit_null(train.y, train.v, family))))
@@ -249,6 +252,17 @@ class TestFit:
         assert train.n == 150
         assert hist.train_loss[0] == pytest.approx((100 * first + 50 * second) / 150,
                                                    rel=1e-14, abs=0.0)
+
+    def test_all_zero_poisson_responses_raise(self):
+        # Without the check the output bias is log(0) = -inf and fit returns it.
+        X = rng_stream(30, "zeros").standard_normal((200, 2))
+        ds = Dataset(X=X, y=np.zeros(200), v=np.ones(200), feature_names=["a", "b"],
+                     feature_kinds=["continuous"] * 2, groups={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every response is 0, so the null mean is 0"):
+                fit(ds, ModelSpec(q=2, hidden_dims=(3,), family="poisson"),
+                    TrainConfig(batch_size=50, max_epochs=2, seed=31))
 
     def test_poisson_clamp_warns(self):
         # Inputs of scale 100 put eta far outside the +/-30 window at the start.
@@ -320,3 +334,23 @@ class TestHistoryAndConfig:
         path.write_text("learning_rate = -1\n")
         with pytest.raises(ConfigError, match="learning_rate"):
             read_config(path, TrainConfig)
+
+
+class TestFitMemory:
+    """Peak traced allocation of one epoch of fit on 100k rows of 8 features,
+    over the bytes of X. Copying both splits reaches 1.51; gathering each
+    batch from X by index leaves the validation copy, the index arrays and
+    one batch's temporaries (0.64)."""
+
+    def test_peak_is_below_the_data(self):
+        ds = make_dataset(100_000, 8, seed=28)
+        spec = ModelSpec(q=8, hidden_dims=(4,))
+        cfg = TrainConfig(batch_size=500, max_epochs=1, seed=29)
+        fit(make_dataset(100, 8), spec, cfg)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            fit(ds, spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes
