@@ -70,7 +70,10 @@ def _fit_pipeline(args, schema):
     if args.seed is not None:
         config.seed = args.seed
     learn = data_mod.load_csv(args.learn, schema)
-    test = data_mod.load_csv(args.test, schema) if args.test else None
+    test = None
+    if args.test:
+        test = data_mod.load_csv(args.test, _pin_levels(schema, learn.feature_names,
+                                                        learn.groups))
     control = args.add_control
     if control != "none":
         learn = data_mod.add_control(learn, control, rng_stream(config.seed, "control-learn"))
@@ -142,19 +145,25 @@ def cmd_drop_refit(args):
     return _fit_pipeline(args, schema)
 
 
-def _report_dataset(args, preprocess):
-    """Load and encode a CSV the way the model's training data was encoded.
-
-    Categorical columns the schema leaves unpinned are pinned to the training
-    levels, so the one-hot columns match whatever order the levels appear in.
-    """
-    names, groups = preprocess["feature_names"], preprocess["groups"]
+def _pin_levels(schema, feature_names, groups):
+    """``schema`` with each categorical column it leaves unpinned pinned to the
+    levels of an encoded dataset's ``feature_names`` and ``groups``, so another
+    CSV gets the same one-hot columns whatever order its levels appear in."""
     columns = []
-    for c in data_mod.load_schema(args.schema).columns:
+    for c in schema.columns:
         if c.kind == "categorical" and c.levels is None and c.name in groups:
-            c = replace(c, levels=tuple(names[j][len(c.name) + 1:] for j in groups[c.name]))
+            c = replace(c, levels=tuple(feature_names[j][len(c.name) + 1:]
+                                        for j in groups[c.name]))
         columns.append(c)
-    dataset = data_mod.load_csv(args.data, data_mod.Schema(columns))
+    return data_mod.Schema(columns)
+
+
+def _report_dataset(args, preprocess):
+    """Load and encode a CSV the way the model's training data was encoded,
+    with its categorical levels pinned to the training levels."""
+    schema = _pin_levels(data_mod.load_schema(args.schema), preprocess["feature_names"],
+                         preprocess["groups"])
+    dataset = data_mod.load_csv(args.data, schema)
     control_dist = preprocess.get("control", "none")
     if control_dist != "none":
         dataset = data_mod.add_control(dataset, control_dist,

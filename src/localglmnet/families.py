@@ -52,6 +52,12 @@ class Gaussian:
     def loss(self, y, mu):
         return mse_loss(y, mu)
 
+    def _batch_loss(self, y, mu, resid):
+        """``loss(y, mu)`` of a nonempty training batch from ``resid`` = mu - y,
+        which it overwrites: the same bytes without the shape checks."""
+        resid *= resid
+        return float(np.add.reduce(resid) / resid.size)
+
 
 class Poisson:
     """Poisson family: exponential cumulant, log canonical link, deviance loss.
@@ -76,6 +82,18 @@ class Poisson:
 
     def loss(self, y, mu):
         return poisson_deviance(y, mu)
+
+    def _batch_loss(self, y, mu, resid):
+        """``loss(y, mu)`` of a nonempty training batch from ``resid`` = mu - y,
+        which it overwrites: the same bytes and errors, with minima for scans."""
+        if mu.min() <= 0.0:
+            raise ValueError("Poisson deviance requires mu > 0")
+        if y.min() < 0.0:
+            raise ValueError("Poisson deviance requires y >= 0")
+        pos = y > 0
+        y_pos = y[pos]
+        resid[pos] -= y_pos * np.log(mu[pos] / y_pos)
+        return float(2.0 * (np.add.reduce(resid) / resid.size))
 
 
 _FAMILIES = {"gaussian": Gaussian(), "poisson": Poisson()}

@@ -125,7 +125,8 @@ class ForwardTrace:
     beta(x); ``eta`` is beta0 + row-sums of attentions * x; ``mu`` is the
     mean on the response scale (exposure-scaled when the family uses one).
     ``n_clamped`` counts entries of eta outside the family's ``eta_max``,
-    where mu is held at its clamped value.
+    where mu is held at its clamped value. Under the identity link mu is
+    eta itself, the same array.
     """
 
     activations: list
@@ -163,29 +164,67 @@ def _tower(params: Params, spec: ModelSpec, X: np.ndarray):
 
     ``acts[0]`` is X and ``acts[m + 1]`` the output of layer m: tanh of its
     pre-activation for a hidden layer, the pre-activation itself for the
-    output layer.
+    output layer. Each layer's bias add and tanh run in the buffer of its
+    matrix product; the finite check comes before the tanh, which would
+    squash an infinite pre-activation to +-1.
     """
     acts = [X]
+    last = spec.depth - 1
     for m in range(spec.depth):
-        a = acts[-1] @ params.weights[m] + params.biases[m]
-        if not np.all(np.isfinite(a)):
+        a = acts[-1] @ params.weights[m]
+        a += params.biases[m]
+        if not np.isfinite(a).all():
             raise NumericError(f"non-finite activations in layer {m + 1}")
-        acts.append(np.tanh(a) if m < spec.depth - 1 else a)
+        if m < last:
+            np.tanh(a, out=a)
+        acts.append(a)
     return acts
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` with the same bytes, faster on narrow rows.
+
+    Below 8 columns numpy adds each row's entries left to right onto a +0.0
+    start, one inner-loop call per row; the same sums taken a column at a
+    time need one call per column. From 8 columns on numpy sums pairwise,
+    so its own sum is used.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    sums = a[:, 0] + 0.0
+    for k in range(1, a.shape[1]):
+        sums += a[:, k]
+    return sums
+
+
+def _mean(beta0: float, family, prod: np.ndarray, v):
+    """``(eta, mu, n_clamped)`` from ``prod`` = beta(x) * x, the attentions times the input.
+
+    eta = beta0 + the row sums of ``prod``; mu is the family's mean of eta
+    clamped to +-``eta_max``, times the exposure when the family uses one;
+    ``n_clamped`` counts the entries of eta past the clamp. A family without
+    a clamp (``eta_max`` inf: identity link) skips it, and its mu is eta itself.
+    """
+    eta = _row_sums(prod)
+    eta += beta0
+    if family.eta_max == np.inf:
+        return eta, family.inv(eta), 0
+    bound = family.eta_max
+    n_clamped = int(np.count_nonzero(np.abs(eta) > bound))
+    mu = np.minimum(eta, bound)
+    np.maximum(mu, -bound, out=mu)
+    mu = family.inv(mu)
+    if family.uses_exposure and v is not None:
+        mu *= np.asarray(v, dtype=float)
+    return eta, mu, n_clamped
 
 
 def forward(params: Params, spec: ModelSpec, X: np.ndarray,
             v: np.ndarray | None = None) -> ForwardTrace:
     """Full forward pass: attentions, linear predictor, and response mean."""
     acts = _tower(params, spec, _as_input(spec, X))
-    X = acts[0]
     beta = acts[-1]
-    eta = params.beta0 + np.sum(beta * X, axis=1)
-    family = get_family(spec.family)
-    n_clamped = int(np.sum(np.abs(eta) > family.eta_max))
-    mu = family.inv(np.clip(eta, -family.eta_max, family.eta_max))
-    if family.uses_exposure and v is not None:
-        mu = mu * np.asarray(v, dtype=float)
+    eta, mu, n_clamped = _mean(params.beta0, get_family(spec.family), beta * acts[0], v)
     return ForwardTrace(activations=acts, attentions=beta, eta=eta, mu=mu,
                         n_clamped=n_clamped)
 
@@ -208,32 +247,50 @@ def loss_and_param_grads(params: Params, spec: ModelSpec, X: np.ndarray,
     The loss is the family's mean deviance over the batch. ``grads.n_clamped``
     counts the batch rows whose eta lies outside the family's clamp window.
     The skip connection routes the chain rule into the tower as
-    d eta / d beta_j = x_j.
+    d eta / d beta_j = x_j. One tower pass serves both directions, and its
+    buffers are reused in place; the bytes are those of ``forward`` and
+    ``family.loss`` followed by the out-of-place backward pass.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_input(spec, X)
     y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("empty batch")
+    if y.shape != (n,):
+        raise ValueError(f"length mismatch: y has shape {y.shape}, X has {n} rows")
     family = get_family(spec.family)
-    trace = forward(params, spec, X, v)
-    loss = family.loss(y, trace.mu)
+    acts = _tower(params, spec, X)
+    prod = acts[-1]  # the attentions are not needed past eta, so take beta * X in place
+    prod *= X
+    _, mu, n_clamped = _mean(params.beta0, family, prod, v)
+    resid = mu - y
 
     # Under a canonical link dL/deta is the score 2 (mu - y) / n, exposure
     # included. Outside the clamp window the score of the clamped mean is
     # kept: the exact gradient of the deviance continued linearly in eta, so
     # clamped rows are still pulled back toward the window.
-    deta = 2.0 * (trace.mu - y) / y.shape[0]
+    deta = resid * 2.0
+    deta /= n
+    loss = family._batch_loss(y, mu, resid)
 
     grads = Params(spec.layer_dims)
-    grads.n_clamped = trace.n_clamped
-    grads.beta0 = np.sum(deta)
-    da = deta[:, None] * X  # gradient wrt beta(x), the linear output layer
+    grads.n_clamped = n_clamped
+    grads.beta0 = deta.sum()
+    da = np.multiply(deta[:, None], X, out=prod)  # gradient wrt beta(x), the linear output layer
     for m in range(spec.depth - 1, -1, -1):
-        np.matmul(trace.activations[m].T, da, out=grads.weights[m])
-        da.sum(axis=0, out=grads.biases[m])
+        np.matmul(acts[m].T, da, out=grads.weights[m])
+        # einsum's column sums equal sum(axis=0)'s bytes and cost a third as
+        # much; on one column numpy's sum is pairwise, and einsum's is not.
+        if da.shape[1] > 1:
+            np.einsum("ij->j", da, out=grads.biases[m])
+        else:
+            da.sum(axis=0, out=grads.biases[m])
         if m > 0:  # back through the tanh of hidden layer m - 1: tanh' = 1 - tanh^2
-            z = trace.activations[m]
-            da = (da @ params.weights[m].T) * (1.0 - z * z)
+            z = acts[m]  # read for the last time, so 1 - z*z overwrites it
+            z *= z
+            np.subtract(1.0, z, out=z)
+            da = da @ params.weights[m].T
+            da *= z
     return loss, grads
 
 

@@ -470,6 +470,29 @@ class TestCategoricalLevels:
                    "--data", tmp_path / f"{variant}.csv", "--schema", schema,
                    "--focal", "x1", "--out-dir", tmp_path / f"inter_{variant}") == 0
 
+    @pytest.mark.parametrize("variant", ["reordered", "missing_level"])
+    def test_fit_test_file_takes_the_learning_levels(self, workdir, tmp_path, variant):
+        # The --test file's levels first appear in another order, or one is
+        # absent: its losses must equal those of a schema pinned to the
+        # learning file's level order.
+        schema, rows, levels = self.fit_brands(workdir, tmp_path)
+        if variant == "reordered":
+            other = sorted(rows, key=lambda r: levels[::-1].index(r[1]))
+        else:
+            other = [r for r in rows if r[1] != levels[0]]
+        test = self.write(tmp_path, variant, other)
+        pinned = tmp_path / "pinned.txt"
+        pinned.write_text(schema.read_text().replace(
+            "brand: categorical", f"brand: categorical({','.join(levels)})"))
+        for name, sch in (("unpinned", schema), ("pinned", pinned)):
+            assert run("fit", "--learn", tmp_path / "learn.csv", "--test", test,
+                       "--schema", sch, "--spec", workdir / "model.cfg",
+                       "--train-config", workdir / "train.cfg",
+                       "--out-dir", tmp_path / name, "--seed", 3) == 0
+        losses = (tmp_path / "unpinned" / "losses.csv").read_bytes()
+        assert losses == (tmp_path / "pinned" / "losses.csv").read_bytes()
+        assert len(losses.splitlines()[-1].split(b",")) == 3  # an out-of-sample column
+
     def test_unseen_level_is_data_error(self, workdir, tmp_path, capsys):
         schema, rows, _ = self.fit_brands(workdir, tmp_path)
         line = rows[4][0].replace(f",{rows[4][1]},", ",D,")

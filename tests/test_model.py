@@ -331,6 +331,19 @@ class TestParamGradients:
         for m in range(spec.depth):
             assert_allclose(g1.weights[m], g2.weights[m], rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", ["negative response", "zero exposure",
+                                     "negative exposure"])
+    def test_rejects_invalid_poisson_rows(self, bad):
+        spec = ModelSpec(q=2, hidden_dims=(3,), family="poisson")
+        params = init_params(spec, rng_stream(0, "bad-rows"))
+        X, y, v = np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), np.ones(4)
+        if bad == "negative response":
+            y[3] = -1.0
+        else:
+            v[3] = 0.0 if bad == "zero exposure" else -0.5
+        with pytest.raises(ValueError, match="Poisson deviance requires"):
+            loss_and_param_grads(params, spec, X, y, v)
+
     def test_rejects_empty_batch(self):
         spec = ModelSpec(q=2)
         with pytest.raises(ValueError, match="empty"):
@@ -633,3 +646,132 @@ class TestFlatLayout:
         save_model(path, spec, params)
         _, loaded, _ = load_model(path)
         assert loaded.flat.tobytes() == params.flat.tobytes()
+
+
+# The training step's arithmetic as it was written out of place: every
+# temporary a fresh array, the finite check per layer by isfinite, the row
+# and column sums by numpy's sum, the loss by the family's checked loss.
+# The in-place step must give the same bytes.
+
+def reference_forward(params, spec, X, v=None):
+    """``(activations, eta, mu, n_clamped)`` of the out-of-place forward pass."""
+    acts = [np.asarray(X, dtype=float)]
+    for m in range(spec.depth):
+        a = acts[-1] @ params.weights[m] + params.biases[m]
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"non-finite activations in layer {m + 1}")
+        acts.append(np.tanh(a) if m < spec.depth - 1 else a)
+    eta = params.beta0 + np.sum(acts[-1] * acts[0], axis=1)
+    family = get_family(spec.family)
+    n_clamped = int(np.sum(np.abs(eta) > family.eta_max))
+    mu = family.inv(np.clip(eta, -family.eta_max, family.eta_max))
+    if family.uses_exposure and v is not None:
+        mu = mu * np.asarray(v, dtype=float)
+    return acts, eta, mu, n_clamped
+
+
+def reference_loss_and_grads(params, spec, X, y, v=None):
+    """``(loss, grads, n_clamped)`` of the out-of-place backward pass."""
+    acts, _, mu, n_clamped = reference_forward(params, spec, X, v)
+    loss = get_family(spec.family).loss(y, mu)
+    deta = 2.0 * (mu - y) / y.shape[0]
+    grads = Params(spec.layer_dims)
+    grads.beta0 = np.sum(deta)
+    da = deta[:, None] * acts[0]
+    for m in range(spec.depth - 1, -1, -1):
+        np.matmul(acts[m].T, da, out=grads.weights[m])
+        da.sum(axis=0, out=grads.biases[m])
+        if m > 0:
+            z = acts[m]
+            da = (da @ params.weights[m].T) * (1.0 - z * z)
+    return loss, grads, n_clamped
+
+
+def reference_nadam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-7):
+    g = grads.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = b1 * m / (1.0 - b1 ** (t + 1)) + (1.0 - b1) * g / (1.0 - b1 ** t)
+    params.flat -= lr * m_hat / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+
+
+def random_batch(seed, dims, family, n, with_exposure):
+    """A tower on ``dims`` and an n-row batch; about a third of the rows are
+    scaled up so their eta leaves the +-30 clamp window."""
+    rng = rng_stream(seed, "in-place-step")
+    spec = ModelSpec(q=dims[0], hidden_dims=dims[1:-1], family=family)
+    params = Params(spec.layer_dims)
+    params.flat[:] = rng.standard_normal(params.flat.size)
+    X = rng.standard_normal((n, spec.q))
+    X[rng.random(n) < 0.3] *= 60.0
+    if family == "poisson":
+        y = rng.poisson(1.0, n).astype(float)
+        v = rng.uniform(0.1, 2.0, n) if with_exposure else None
+    else:
+        y, v = rng.standard_normal(n), (np.ones(n) if with_exposure else None)
+    return spec, params, X, y, v
+
+
+# q from 1 to 9 straddles the 8-column switch of model._row_sums.
+step_dims = st.builds(lambda q, hidden: (q, *hidden, q), st.integers(1, 9),
+                      st.lists(widths, max_size=3))
+
+
+class TestInPlaceStepIsBitIdentical:
+    @settings(max_examples=200, deadline=None)
+    @given(step_dims, st.sampled_from(["gaussian", "poisson"]), st.integers(1, 40),
+           st.booleans(), st.integers(min_value=0, max_value=2**31))
+    def test_loss_grads_and_forward(self, dims, family, n, with_exposure, seed):
+        spec, params, X, y, v = random_batch(seed, dims, family, n, with_exposure)
+        loss, grads = loss_and_param_grads(params, spec, X, y, v)
+        ref_loss, ref_grads, ref_clamped = reference_loss_and_grads(params, spec, X, y, v)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+        assert grads.n_clamped == ref_clamped
+        tr = forward(params, spec, X, v)
+        acts, eta, mu, n_clamped = reference_forward(params, spec, X, v)
+        assert tr.attentions.tobytes() == acts[-1].tobytes()
+        assert tr.eta.tobytes() == eta.tobytes()
+        assert tr.mu.tobytes() == mu.tobytes()
+        assert tr.n_clamped == n_clamped
+
+    def test_random_batches_clamp_some_rows(self):
+        # The property above must meet rows past the clamp next to rows inside it.
+        spec, params, X, y, v = random_batch(3, (4, 1, 5, 4), "poisson", 40, True)
+        assert 0 < reference_forward(params, spec, X, v)[3] < 40
+
+    @pytest.mark.parametrize("family, dims", [("poisson", (4, 15, 10, 4)),
+                                              ("gaussian", (8, 20, 15, 10, 8)),
+                                              ("gaussian", (3, 1, 2, 3))])
+    def test_nadam_steps(self, family, dims):
+        spec, params, X, y, v = random_batch(7, dims, family, 64, True)
+        params.flat *= 0.3
+        start, ref = params.flat.copy(), params.copy()
+        moments = [np.zeros_like(params.flat) for _ in range(4)]
+        config = TrainConfig(learning_rate=0.01)
+        for t in range(1, 31):
+            rows = slice(2 * t, 2 * t + 32)
+            _, grads = loss_and_param_grads(params, spec, X[rows], y[rows], v[rows])
+            nadam_step(params, grads, moments[0], moments[1], t, config)
+            _, ref_grads, _ = reference_loss_and_grads(ref, spec, X[rows], y[rows], v[rows])
+            reference_nadam_step(ref, ref_grads, moments[2], moments[3], t,
+                                 config.learning_rate)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert moments[0].tobytes() == moments[2].tobytes()
+        assert moments[1].tobytes() == moments[3].tobytes()
+        assert not np.array_equal(params.flat, start)
+
+    def test_infinite_hidden_pre_activation_names_its_layer(self):
+        # tanh maps an infinite pre-activation to +-1, so the check comes first.
+        spec = ModelSpec(q=2, hidden_dims=(3, 2))
+        params = zero_params(spec)
+        params.biases[0][:] = 10.0  # layer 1 outputs tanh(10), about 1
+        params.weights[1][:, 0] = 1e308  # three times 1e308 overflows to inf
+        X, y = np.ones((3, 2)), np.zeros(3)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite activations in layer 2"):
+                loss_and_param_grads(params, spec, X, y)
+            with pytest.raises(NumericError, match="non-finite activations in layer 2"):
+                forward(params, spec, X)

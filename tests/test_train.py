@@ -264,6 +264,24 @@ class TestFit:
                 fit(ds, ModelSpec(q=2, hidden_dims=(3,), family="poisson"),
                     TrainConfig(batch_size=50, max_epochs=2, seed=31))
 
+    @pytest.mark.parametrize("bad", ["negative response", "zero exposure",
+                                     "negative exposure"])
+    def test_invalid_poisson_rows_raise(self, bad):
+        # A bad row raises ValueError in the training step that sees it, or in
+        # the validation loss when the split puts it there.
+        rng = rng_stream(32, "bad-rows")
+        X = rng.standard_normal((200, 2))
+        y, v = rng.poisson(1.0, 200).astype(float), np.ones(200)
+        if bad == "negative response":
+            y[17] = -1.0
+        else:
+            y[17], v[17] = 2.0, 0.0 if bad == "zero exposure" else -0.5
+        ds = Dataset(X=X, y=y, v=v, feature_names=["a", "b"],
+                     feature_kinds=["continuous"] * 2, groups={})
+        with pytest.raises(ValueError, match="Poisson deviance requires"):
+            fit(ds, ModelSpec(q=2, hidden_dims=(3,), family="poisson"),
+                TrainConfig(batch_size=50, max_epochs=2, seed=33))
+
     def test_poisson_clamp_warns(self):
         # Inputs of scale 100 put eta far outside the +/-30 window at the start.
         rng = rng_stream(24, "clamp")
