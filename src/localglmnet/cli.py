@@ -237,8 +237,7 @@ def cmd_report(args):
         for j, name in zip(std_cols, std_names):
             x, v = X_pick[:, j], values[:, j]
             stem = os.path.join(args.out_dir, f"{kind}_{name}")
-            data_mod.write_rows(stem + ".csv", [name, kind],
-                                [[repr(float(a)), repr(float(b))] for a, b in zip(x, v)])
+            data_mod.write_columns(stem + ".csv", [name, kind], [x, v])
             _write(stem + ".svg", svg.scatter_svg(x, v, title=f"{kind.capitalize()}: {name}",
                                                   xlabel=name, ylabel=kind,
                                                   hlines=hlines, ylim=ylim))

@@ -43,6 +43,7 @@ __all__ = [
     "load_csv",
     "write_csv",
     "write_rows",
+    "write_columns",
     "one_hot",
     "standardize",
     "apply_standardize",
@@ -461,6 +462,17 @@ def write_rows(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a numeric CSV table: ``header`` through the csv module, as
+    ``write_rows`` writes it, then one line per row of the equal-length float
+    ``columns``, each cell ``repr`` of its value (a bit-exact round trip)."""
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(map(line.__mod__, zip(*cells)))
 
 
 def standardize(dataset: Dataset):

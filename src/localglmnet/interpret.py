@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_rows
+from .data import write_columns, write_rows
 from .linalg import _row_blocks
 from .model import ModelSpec, Params, _as_input, batch_input_jacobian
 
@@ -191,13 +191,16 @@ def _design(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
     unique, so ``xb > xa`` in every division."""
     n_basis = knots.size - DEGREE - 1
     ell = np.clip(np.searchsorted(knots, x, side="right") - 1, DEGREE, n_basis - 1)
+    # The recursion reads the knots at offsets 1 - DEGREE .. DEGREE from ell;
+    # gather each once.
+    at = {d: knots[ell + d] for d in range(1 - DEGREE, DEGREE + 1)}
     h = np.zeros((x.size, DEGREE + 1))
     h[:, 0] = 1.0
     for j in range(1, DEGREE + 1):
         hh = h[:, :j].copy()
         h[:, 0] = 0.0
         for m in range(1, j + 1):
-            xa, xb = knots[ell + m - j], knots[ell + m]
+            xa, xb = at[m - j], at[m]
             w = hh[:, m - 1] / (xb - xa)
             h[:, m - 1] += w * (xb - x)
             h[:, m] = w * (x - xa)
@@ -274,9 +277,8 @@ class InteractionProfile:
     curves: np.ndarray  # (q, len(grid))
 
     def write_csv(self, path) -> None:
-        write_rows(path, [self.focal] + [f"d_{self.focal}_d_{k}" for k in self.feature_names],
-                   [[repr(float(x))] + [repr(float(c)) for c in row]
-                    for x, row in zip(self.grid, self.curves.T)])
+        write_columns(path, [self.focal] + [f"d_{self.focal}_d_{k}" for k in self.feature_names],
+                      [self.grid, *self.curves])
 
 
 def interaction_profiles(params: Params, spec: ModelSpec, X: np.ndarray, focal,

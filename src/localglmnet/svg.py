@@ -39,6 +39,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     t = start
     while t <= hi + 1e-9 * step:
         ticks.append(round(t, 10))
+        if t + step == t:  # a span of a few ulps: the step no longer moves t
+            break
         t += step
     return ticks
 
@@ -120,10 +122,10 @@ def scatter_svg(x, y, title="", xlabel="", ylabel="", hlines=(), ylim=None) -> s
             yy = ax.py(value)
             body.append(f'<line x1="{MARGIN_L}" y1="{_fmt(yy)}" x2="{WIDTH - MARGIN_R}" '
                         f'y2="{_fmt(yy)}" stroke="{color}" stroke-width="1.5"/>')
-    dots = [f'<circle cx="{_fmt(ax.px(xi))}" cy="{_fmt(ax.py(yi))}" r="1.5"/>'
-            for xi, yi in zip(x, y)
-            if ax.ylo <= yi <= ax.yhi]
-    body.append('<g fill="#1f77b4" fill-opacity="0.45">' + "".join(dots) + "</g>")
+    keep = (ax.ylo <= y) & (y <= ax.yhi)  # False on NaN
+    dots = "".join(map('<circle cx="%.2f" cy="%.2f" r="1.5"/>'.__mod__,
+                       zip(ax.px(x[keep]).tolist(), ax.py(y[keep]).tolist())))
+    body.append('<g fill="#1f77b4" fill-opacity="0.45">' + dots + "</g>")
     return _document(body)
 
 
@@ -141,8 +143,9 @@ def line_svg(grid, curves, title="", xlabel="", ylabel="") -> str:
                 f'y2="{_fmt(yy)}" stroke="#aaa" stroke-dasharray="4 3"/>')
     for i, (label, values) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(ax.px(g))},{_fmt(ax.py(v))}"
-                       for g, v in zip(grid, np.asarray(values, dtype=float)))
+        pts = " ".join(map("%.2f,%.2f".__mod__,
+                           zip(ax.px(grid).tolist(),
+                               ax.py(np.asarray(values, dtype=float)).tolist())))
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                     f'stroke-width="1.8"/>')
         ly = MARGIN_T + 16 + 14 * i

@@ -149,16 +149,22 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
     Each batch is gathered from ``dataset`` by its rows' indices, so only the
     validation rows are copied. The returned parameters are a full copy
     snapshotted at the epoch with the smallest validation loss. History
-    covers every epoch run.
+    covers every epoch run. A family with exposures rejects a non-positive
+    exposure before the first step, naming its row index.
     """
     if dataset.q != spec.q:
         raise ConfigError(f"dataset has {dataset.q} feature columns, spec expects {spec.q}")
+    family = get_family(spec.family)
+    if family.uses_exposure and not (dataset.v > 0.0).all():
+        bad = int(np.argmin(dataset.v > 0.0))
+        raise ValueError(f"exposures must be positive; row index {bad} has exposure "
+                         f"{float(dataset.v[bad])!r}")
     idx_train, idx_val = split_indices(dataset.n, config.val_fraction,
                                        rng_stream(config.seed, "split"))
     val_set = dataset.subset(idx_val)
     params = init_params(spec, rng_stream(config.seed, "init"),
                          output_bias=_null_eta(dataset.y[idx_train], dataset.v[idx_train],
-                                               get_family(spec.family)))
+                                               family))
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     shuffle_rng = rng_stream(config.seed, "shuffle")
 

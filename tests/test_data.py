@@ -313,7 +313,42 @@ def csv_cases(draw):
     return text, schema
 
 
+def per_row_write_columns(path, header, columns):
+    """Reference: the float table as ``write_rows`` wrote it, ``repr(float(v))``
+    cell by cell."""
+    data_mod.write_rows(path, header, [[repr(float(v)) for v in row]
+                                       for row in zip(*columns)])
+
+
+@st.composite
+def float_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 60))]))
+    cell = st.one_of(st.floats(width=64),
+                     st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324, 0.1]))
+    columns = [np.array(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+               for _ in range(n_cols)]
+    header = draw(st.lists(st.text(max_size=6), min_size=n_cols, max_size=n_cols))
+    return header, columns
+
+
 class TestFastCsvIo:
+    @settings(max_examples=120, deadline=None)
+    @given(float_tables())
+    def test_write_columns_matches_per_row_reference(self, tmp_path_factory, table):
+        header, columns = table
+        directory = tmp_path_factory.mktemp("cols")
+        data_mod.write_columns(directory / "got.csv", header, columns)
+        per_row_write_columns(directory / "want.csv", header, columns)
+        assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+    def test_write_columns_quotes_a_name_with_a_comma(self, tmp_path):
+        # The header of a scatter CSV is the feature name and the plotted kind.
+        path = tmp_path / "attention_x,1.csv"
+        data_mod.write_columns(path, ["x,1", "attention"], [np.array([0.5, -0.0]),
+                                                             np.array([0.1, 1e-300])])
+        assert path.read_text() == '"x,1",attention\n0.5,0.1\n-0.0,1e-300\n'
+
     @settings(max_examples=400, deadline=None)
     @given(csv_cases())
     def test_load_matches_per_cell_reference(self, tmp_path_factory, case):

@@ -13,11 +13,16 @@ A change that moves these bytes on purpose regenerates the set with::
     PYTHONPATH=src python tests/test_golden.py
 
 which rewrites ``golden/SHA256SUMS`` and ``golden/machine.json``. The
-machine facts say where the digests were made: OpenBLAS picks its kernels
-by CPU, so another CPU may move a last bit. Compare them before blaming the
-code.
+machine facts say where the digests were made. The bytes are exact on the
+same numpy SIMD dispatch targets, OpenBLAS core and BLAS thread setting:
+numpy's exp, log and tanh loops and OpenBLAS's kernels round differently
+from one instruction set to another, and OpenBLAS splits a product's sums
+by thread. A failing run names each recorded fact that differs on the
+machine it runs on; when none does, the code moved the bytes.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -120,8 +125,27 @@ def run_pipeline(workdir):
     return digests
 
 
+def _openblas(symbol, restype):
+    """A function of the OpenBLAS library bundled with numpy, or None when
+    no bundled library exports ``symbol``."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            return fn
+    return None
+
+
 def machine_facts():
     """The platform facts that can move a last bit without a code change."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    corename = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = "unknown"
     try:
@@ -138,7 +162,17 @@ def machine_facts():
         "cpu": cpu,
         "nproc": os.cpu_count(),
         "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "numpy_simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+        "openblas_core": corename().decode() if corename else "unknown",
+        "openblas_threads": threads() if threads else "unknown",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
     }
+
+
+def differing_facts(stored, here):
+    """One line per recorded machine fact whose value differs here."""
+    return [f"  {key}: recorded {stored[key]!r}, here {here.get(key, 'not recorded')!r}"
+            for key in stored if stored[key] != here.get(key)]
 
 
 def read_golden():
@@ -157,9 +191,28 @@ def test_outputs_match_golden(tmp_path):
 
     moved = [f"{name} ({status(name)})"
              for name in sorted(set(want) | set(got)) if want.get(name) != got.get(name)]
+    if moved:
+        stored = json.loads((GOLDEN / "machine.json").read_text(encoding="utf-8"))
+        facts = differing_facts(stored, machine_facts()) or [
+            "  none: every recorded machine fact matches, so the code moved the bytes"]
+        raise AssertionError(f"{len(moved)} of {len(want)} golden outputs moved: "
+                             f"{', '.join(moved)}\nmachine facts that differ from the "
+                             "recording machine:\n" + "\n".join(facts))
+
+
+def test_machine_record_names_what_the_bytes_depend_on():
     stored = json.loads((GOLDEN / "machine.json").read_text(encoding="utf-8"))
-    assert not moved, (f"{len(moved)} of {len(want)} golden outputs moved: {', '.join(moved)}\n"
-                       f"golden machine:  {stored}\nthis machine:    {machine_facts()}")
+    for key in ("numpy_simd_dispatch", "openblas_core", "openblas_threads",
+                "OPENBLAS_NUM_THREADS"):
+        assert key in stored and key in machine_facts()
+
+
+def test_differing_facts_name_each_moved_fact():
+    stored = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "numpy_simd_dispatch": ["X86_V3"]}
+    here = {"numpy": "2.4.6", "openblas_core": "Haswell", "numpy_simd_dispatch": ["X86_V3"]}
+    assert differing_facts(stored, here) == [
+        "  openblas_core: recorded 'SkylakeX', here 'Haswell'"]
+    assert differing_facts(stored, dict(stored)) == []
 
 
 def regenerate():

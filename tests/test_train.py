@@ -267,8 +267,9 @@ class TestFit:
     @pytest.mark.parametrize("bad", ["negative response", "zero exposure",
                                      "negative exposure"])
     def test_invalid_poisson_rows_raise(self, bad):
-        # A bad row raises ValueError in the training step that sees it, or in
-        # the validation loss when the split puts it there.
+        # A negative response raises ValueError in the training step that sees
+        # it, or in the validation loss when the split puts it there; a bad
+        # exposure raises before the first step, naming its row.
         rng = rng_stream(32, "bad-rows")
         X = rng.standard_normal((200, 2))
         y, v = rng.poisson(1.0, 200).astype(float), np.ones(200)
@@ -278,7 +279,11 @@ class TestFit:
             y[17], v[17] = 2.0, 0.0 if bad == "zero exposure" else -0.5
         ds = Dataset(X=X, y=y, v=v, feature_names=["a", "b"],
                      feature_kinds=["continuous"] * 2, groups={})
-        with pytest.raises(ValueError, match="Poisson deviance requires"):
+        match = {"negative response": "Poisson deviance requires",
+                 "zero exposure": r"^exposures must be positive; row index 17 has exposure 0\.0$",
+                 "negative exposure": r"^exposures must be positive; row index 17 has exposure "
+                                      r"-0\.5$"}[bad]
+        with pytest.raises(ValueError, match=match):
             fit(ds, ModelSpec(q=2, hidden_dims=(3,), family="poisson"),
                 TrainConfig(batch_size=50, max_epochs=2, seed=33))
 
