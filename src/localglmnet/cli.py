@@ -24,7 +24,7 @@ from . import data as data_mod
 from . import svg
 from .errors import ConfigError, DataError, NumericError
 from .families import fit_glm, fit_null, get_family
-from .interpret import interaction_profiles, selection_report, variable_importance
+from .interpret import MIN_CURVE_ROWS, interaction_profiles, selection_report, variable_importance
 from .linalg import rng_stream
 from .model import ModelSpec, attention, load_model, save_model
 from .train import TrainConfig, evaluate_loss, fit
@@ -149,32 +149,27 @@ def _pin_levels(schema, feature_names, groups):
     """``schema`` with each categorical column it leaves unpinned pinned to the
     levels of an encoded dataset's ``feature_names`` and ``groups``, so another
     CSV gets the same one-hot columns whatever order its levels appear in."""
-    columns = []
-    for c in schema.columns:
-        if c.kind == "categorical" and c.levels is None and c.name in groups:
-            c = replace(c, levels=tuple(feature_names[j][len(c.name) + 1:]
-                                        for j in groups[c.name]))
-        columns.append(c)
-    return data_mod.Schema(columns)
+    levels = data_mod.group_levels(feature_names, groups)
+    return data_mod.Schema([replace(c, levels=levels.get(c.name))
+                            if c.kind == "categorical" and c.levels is None else c
+                            for c in schema.columns])
 
 
 def _report_dataset(args, preprocess):
     """Load and encode a CSV the way the model's training data was encoded,
     with its categorical levels pinned to the training levels."""
-    schema = _pin_levels(data_mod.load_schema(args.schema), preprocess["feature_names"],
-                         preprocess["groups"])
+    names = preprocess["feature_names"]
+    schema = _pin_levels(data_mod.load_schema(args.schema), names, preprocess["groups"])
     dataset = data_mod.load_csv(args.data, schema)
     control_dist = preprocess.get("control", "none")
     if control_dist != "none":
         dataset = data_mod.add_control(dataset, control_dist,
                                        rng_stream(args.seed, "control-report"))
+    if list(dataset.feature_names) != list(names):
+        raise ConfigError(f"--data {args.data}: data columns {dataset.feature_names} do not "
+                          f"match the model's training columns {names}")
     std = data_mod.StandardizeParams.from_dict(preprocess["standardize"])
-    dataset = data_mod.apply_standardize(dataset, std)
-    if list(dataset.feature_names) != list(preprocess["feature_names"]):
-        raise ConfigError(
-            f"data columns {dataset.feature_names} do not match the model's "
-            f"training columns {preprocess['feature_names']}")
-    return dataset
+    return data_mod.apply_standardize(dataset, std)
 
 
 def _load_report_inputs(args, min_sample):
@@ -187,6 +182,11 @@ def _load_report_inputs(args, min_sample):
     spec, params, preprocess = load_model(args.model)
     if preprocess is None:
         raise ConfigError(f"{args.model}: model file carries no preprocessing block")
+    for key in ("feature_names", "groups", "standardize", "standardize.names",
+                "standardize.means", "standardize.sds"):
+        block, _, sub = key.rpartition(".")
+        if sub not in (preprocess[block] if block else preprocess):
+            raise ConfigError(f"{args.model}: preprocessing block lacks {key!r}")
     return spec, params, _report_dataset(args, preprocess)
 
 
@@ -242,10 +242,9 @@ def cmd_report(args):
                                                   xlabel=name, ylabel=kind,
                                                   hlines=hlines, ylim=ylim))
 
-    for group, cols in dataset.groups.items():
+    for group, levels in data_mod.group_levels(dataset.feature_names, dataset.groups).items():
         rows, boxes = [], []
-        for j in cols:
-            level = dataset.feature_names[j].split("=", 1)[1]
+        for j, level in zip(dataset.groups[group], levels):
             on = beta[dataset.X[:, j] == 1.0, j]
             if not on.size:  # a training level absent from this CSV
                 continue
@@ -264,11 +263,12 @@ def cmd_report(args):
 def cmd_interactions(args):
     spec, params, dataset = _load_report_inputs(args, min_sample=0)
     X = dataset.X[_subsample(args, dataset.n)]
-    if len(X) < 10:  # the spline smoother's minimum, see _place_knots
-        if dataset.n < 10:
-            raise DataError(f"{args.data}: need at least 10 observations, got {dataset.n}")
+    if len(X) < MIN_CURVE_ROWS:
+        if dataset.n < MIN_CURVE_ROWS:
+            raise DataError(f"{args.data}: need at least {MIN_CURVE_ROWS} observations, "
+                            f"got {dataset.n}")
         raise ConfigError(f"--sample {args.sample} leaves {len(X)} rows; "
-                          "interaction curves need at least 10")
+                          f"interaction curves need at least {MIN_CURVE_ROWS}")
     names = dataset.feature_names
     focal = [s.strip() for s in args.focal.split(",")] if args.focal else \
         [names[j] for j in dataset.standardized]

@@ -30,6 +30,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .linalg import _row_blocks
 
 __all__ = [
     "ColumnSpec",
@@ -44,6 +45,7 @@ __all__ = [
     "write_csv",
     "write_rows",
     "write_columns",
+    "group_levels",
     "one_hot",
     "standardize",
     "apply_standardize",
@@ -418,12 +420,10 @@ def _encode_csv(header, fh, schema):
     for c in schema.feature_columns:
         if c.kind == "categorical":
             mat, levels = one_hot(raw[c.name], c.levels, c.name)
-            start = len(names)
-            for k, lv in enumerate(levels):
-                cols.append(mat[:, k])
-                names.append(f"{c.name}={lv}")
-                kinds.append("onehot")
-            groups[c.name] = list(range(start, start + len(levels)))
+            groups[c.name] = list(range(len(names), len(names) + len(levels)))
+            cols += list(mat.T)
+            names += [f"{c.name}={lv}" for lv in levels]  # read back by group_levels
+            kinds += ["onehot"] * len(levels)
         else:
             cols.append(values(c.name))
             names.append(c.name)
@@ -432,24 +432,21 @@ def _encode_csv(header, fh, schema):
     return Dataset(X=X, y=y, v=v, feature_names=names, feature_kinds=kinds, groups=groups)
 
 
-_WRITE_CHUNK_ROWS = 10000
+def group_levels(feature_names, groups) -> dict:
+    """The levels of each categorical column in ``groups``, in column order, read
+    off the one-hot names ``column=level`` that ``load_csv`` gives its columns."""
+    return {name: tuple(feature_names[j][len(name) + 1:] for j in idx)
+            for name, idx in groups.items()}
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write the encoded design plus response (and exposure, when present).
-
-    Cells are ``repr`` of the float64 values, so a round trip is bit-exact.
-    """
+    """Write the encoded design, y, and v unless every v is 1, by ``write_columns``."""
     header = list(dataset.feature_names) + ["y"]
-    columns = [dataset.X, dataset.y]
+    columns = [*dataset.X.T, dataset.y]
     if not np.all(dataset.v == 1.0):
         header.append("v")
         columns.append(dataset.v)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, dataset.n, _WRITE_CHUNK_ROWS):
-            chunk = np.column_stack([c[start:start + _WRITE_CHUNK_ROWS] for c in columns])
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk.tolist())
+    write_columns(path, header, columns)
 
 
 def write_rows(path, header, rows) -> None:
@@ -467,12 +464,14 @@ def write_rows(path, header, rows) -> None:
 def write_columns(path, header, columns) -> None:
     """Write a numeric CSV table: ``header`` through the csv module, as
     ``write_rows`` writes it, then one line per row of the equal-length float
-    ``columns``, each cell ``repr`` of its value (a bit-exact round trip)."""
+    ``columns``, each cell ``repr`` of its value (a bit-exact round trip),
+    formatted EVAL_BLOCK_ROWS rows at a time."""
     line = ",".join(["%r"] * len(columns)) + "\n"
-    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
+    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(map(line.__mod__, zip(*cells)))
+        for rows in _row_blocks(len(columns[0])):
+            fh.writelines(map(line.__mod__, zip(*(c[rows].tolist() for c in columns))))
 
 
 def standardize(dataset: Dataset):

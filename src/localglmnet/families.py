@@ -52,11 +52,12 @@ class Gaussian:
     def loss(self, y, mu):
         return mse_loss(y, mu)
 
-    def _batch_loss(self, y, mu, resid):
-        """``loss(y, mu)`` of a nonempty training batch from ``resid`` = mu - y,
-        which it overwrites: the same bytes without the shape checks."""
+    @staticmethod
+    def _batch_loss(y, mu, resid):
+        """Mean squared error from ``resid`` = mu - y, which it overwrites; y and mu
+        are nonempty and of one shape. ``mse_loss`` adds those checks."""
         resid *= resid
-        return float(np.add.reduce(resid) / resid.size)
+        return float(np.add.reduce(resid, axis=None) / resid.size)
 
 
 class Poisson:
@@ -83,17 +84,19 @@ class Poisson:
     def loss(self, y, mu):
         return poisson_deviance(y, mu)
 
-    def _batch_loss(self, y, mu, resid):
-        """``loss(y, mu)`` of a nonempty training batch from ``resid`` = mu - y,
-        which it overwrites: the same bytes and errors, with minima for scans."""
-        if mu.min() <= 0.0:
+    @staticmethod
+    def _batch_loss(y, mu, resid):
+        """Mean Poisson deviance from ``resid`` = mu - y, which it overwrites; y and
+        mu are nonempty and of one shape. ``poisson_deviance`` adds those checks."""
+        # fmin skips NaN, so these read as any(mu <= 0) and any(y < 0) without a mask.
+        if np.fmin.reduce(mu, axis=None) <= 0.0:
             raise ValueError("Poisson deviance requires mu > 0")
-        if y.min() < 0.0:
+        if np.fmin.reduce(y, axis=None) < 0.0:
             raise ValueError("Poisson deviance requires y >= 0")
         pos = y > 0
         y_pos = y[pos]
         resid[pos] -= y_pos * np.log(mu[pos] / y_pos)
-        return float(2.0 * (np.add.reduce(resid) / resid.size))
+        return float(2.0 * (np.add.reduce(resid, axis=None) / resid.size))
 
 
 _FAMILIES = {"gaussian": Gaussian(), "poisson": Poisson()}
@@ -114,7 +117,7 @@ def mse_loss(y: np.ndarray, mu: np.ndarray) -> float:
         raise ValueError(f"length mismatch: y has shape {y.shape}, mu has {mu.shape}")
     if y.size == 0:
         raise ValueError("need at least one observation")
-    return float(np.mean((y - mu) ** 2))
+    return Gaussian._batch_loss(y, mu, mu - y)
 
 
 def poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -129,14 +132,15 @@ def poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
         raise ValueError(f"length mismatch: y has shape {y.shape}, mu has {mu.shape}")
     if y.size == 0:
         raise ValueError("need at least one observation")
-    if np.any(mu <= 0.0):
-        raise ValueError("Poisson deviance requires mu > 0")
-    if np.any(y < 0.0):
-        raise ValueError("Poisson deviance requires y >= 0")
-    terms = mu - y
-    pos = y > 0
-    terms[pos] -= y[pos] * np.log(mu[pos] / y[pos])
-    return float(2.0 * np.mean(terms))
+    return Poisson._batch_loss(y, mu, mu - y)
+
+
+def _check_exposures(v: np.ndarray, family) -> None:
+    """The exposure rule of every fit: v > 0 (NaN fails) when ``family`` uses exposures."""
+    if family.uses_exposure and not (v > 0.0).all():
+        bad = int(np.argmin(v > 0.0))
+        raise ValueError(f"exposures must be positive; row index {bad} has exposure "
+                         f"{float(v[bad])!r}")
 
 
 def fit_null(y: np.ndarray, v: np.ndarray | None = None, family=None) -> float:
@@ -152,10 +156,8 @@ def fit_null(y: np.ndarray, v: np.ndarray | None = None, family=None) -> float:
     if not family.uses_exposure:
         return float(np.mean(y))
     v = np.ones_like(y) if v is None else np.asarray(v, dtype=float)
-    total = float(np.sum(v))
-    if total == 0.0:
-        raise ValueError("total exposure is zero")
-    return float(np.sum(y) / total)
+    _check_exposures(v, family)
+    return float(np.sum(y) / np.sum(v))
 
 
 def _null_eta(y: np.ndarray, v: np.ndarray, family) -> float:
@@ -255,8 +257,7 @@ def fit_glm(
     v = np.ones(n) if v is None else np.asarray(v, dtype=float)
 
     _check_full_rank(X, column_names)
-    if family.uses_exposure and np.any(v <= 0.0):
-        raise ValueError("exposures must be positive")
+    _check_exposures(v, family)
     offset = np.log(v) if family.uses_exposure else np.zeros(n)
 
     # Null start: intercept at the link-scale null value, slopes zero.

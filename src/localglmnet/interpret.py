@@ -40,6 +40,7 @@ N_KNOTS = 20
 SMOOTHING = 1.0
 GRID_SIZE = 200
 DEGREE = 3  # cubic splines
+MIN_CURVE_ROWS = 10  # the fewest sample rows a curve is fitted to
 
 
 def selection_stats(attention_col: np.ndarray):
@@ -171,8 +172,8 @@ def _place_knots(x: np.ndarray, name: str = "x") -> np.ndarray:
     """Knot vector of the smoother on the sample x: N_KNOTS interior knots at
     empirical quantiles, and min x and max x each repeated DEGREE + 1 times.
     ``name`` stands for x in the error message of a non-finite or constant sample."""
-    if x.size < 10:
-        raise ValueError(f"need at least 10 observations, got {x.size}")
+    if x.size < MIN_CURVE_ROWS:
+        raise ValueError(f"need at least {MIN_CURVE_ROWS} observations, got {x.size}")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} has a non-finite value; cannot fit a curve")
     lo, hi = float(x.min()), float(x.max())

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import write_rows
 from .errors import ConfigError, NumericError
-from .families import _null_eta, get_family
+from .families import _check_exposures, _null_eta, get_family
 from .linalg import _row_blocks, rng_stream
 from .model import ModelSpec, Params, _as_input, forward, init_params, loss_and_param_grads
 
@@ -155,10 +155,7 @@ def fit(dataset, spec: ModelSpec, config: TrainConfig):
     if dataset.q != spec.q:
         raise ConfigError(f"dataset has {dataset.q} feature columns, spec expects {spec.q}")
     family = get_family(spec.family)
-    if family.uses_exposure and not (dataset.v > 0.0).all():
-        bad = int(np.argmin(dataset.v > 0.0))
-        raise ValueError(f"exposures must be positive; row index {bad} has exposure "
-                         f"{float(dataset.v[bad])!r}")
+    _check_exposures(dataset.v, family)
     idx_train, idx_val = split_indices(dataset.n, config.val_fraction,
                                        rng_stream(config.seed, "split"))
     val_set = dataset.subset(idx_val)

@@ -20,6 +20,7 @@ import pytest
 
 import localglmnet as lg
 from localglmnet.cli import main as cli_main
+from test_golden import differing_facts_message
 
 N_FULL = 100_000
 DATA_SEED = 1
@@ -85,14 +86,32 @@ def run():
                         losses=losses, control_report=report)
 
 
+def early_stop_detail(best: int, epochs: int, digest: str) -> str:
+    """The early-stop line's detail; a digest other than the 600-epoch run's
+    adds the machine facts that differ from the machine that recorded it
+    (the one ``tests/golden/machine.json`` describes)."""
+    detail = (f"best epoch {best}, {epochs} epochs run, params sha256 {digest[:16]} "
+              f"(600-epoch run: {FULL_RUN_PARAMS_SHA256[:16]})")
+    if digest != FULL_RUN_PARAMS_SHA256:
+        detail += "\n" + differing_facts_message()
+    return detail
+
+
 class TestEarlyStopping:
     def test_patience_returns_the_full_run_params(self, run):
         best, epochs = run.history.best_epoch, len(run.history.val_loss)
         digest = hashlib.sha256(run.params.flat.tobytes()).hexdigest()
         ok = (best == FULL_RUN_BEST_EPOCH and epochs == PATIENCE_RUN_EPOCHS
               and digest == FULL_RUN_PARAMS_SHA256)
-        _line("0 early stop", ok, f"best epoch {best}, {epochs} epochs run, params sha256 "
-              f"{digest[:16]} (600-epoch run: {FULL_RUN_PARAMS_SHA256[:16]})")
+        _line("0 early stop", ok, early_stop_detail(best, epochs, digest))
+
+    def test_a_moved_digest_names_the_machine_facts(self):
+        moved = early_stop_detail(FULL_RUN_BEST_EPOCH, PATIENCE_RUN_EPOCHS, "0" * 64)
+        assert moved.splitlines()[1] == "machine facts that differ from the recording machine:"
+        assert len(moved.splitlines()) > 2  # each differing fact, or "none"
+        kept = early_stop_detail(FULL_RUN_BEST_EPOCH, PATIENCE_RUN_EPOCHS,
+                                 FULL_RUN_PARAMS_SHA256)
+        assert "machine facts" not in kept
 
 
 class TestLossLadder:

@@ -264,6 +264,57 @@ class TestReport:
         assert (rep_dir / "onehot_brand.svg").exists()
 
 
+    def test_level_names_of_a_column_named_with_an_equals_sign(self, workdir, tmp_path):
+        # The one-hot columns are named "a=b=L", ...; the level is what follows
+        # the column's own name, not what follows the first "=".
+        rng = np.random.default_rng(9)
+        x, cat = rng.standard_normal(300), rng.choice(["L", "M", "N"], 300)
+        csv = tmp_path / "eq.csv"
+        csv.write_text("x1,a=b,y\n" + "".join(f"{float(a)!r},{c},{float(a)!r}\n"
+                                               for a, c in zip(x, cat)))
+        schema = tmp_path / "eq.txt"
+        schema.write_text("x1: continuous\na=b: categorical(L, M, N)\ny: response\n")
+        assert run("fit", "--learn", csv, "--schema", schema,
+                   "--spec", workdir / "model.cfg", "--train-config", workdir / "train.cfg",
+                   "--out-dir", tmp_path / "fit", "--add-control", "normal") == 0
+        assert run("report", "--model", tmp_path / "fit" / "model.json", "--data", csv,
+                   "--schema", schema, "--sample", 50, "--out-dir", tmp_path / "rep") == 0
+        rows = (tmp_path / "rep" / "onehot_a=b.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["L", "M", "N"]
+
+    def test_missing_training_column_names_the_data_file(self, workdir, capsys):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        schema = workdir / "no_x3.txt"
+        schema.write_text(SCHEMA.replace("x3: continuous\n", ""))
+        data = synth_dir / "test.csv"
+        assert run("report", "--model", fit_dir / "model.json", "--data", data,
+                   "--schema", schema, "--control", "x7", "--out-dir", workdir / "rep") == 2
+        names = [f"x{j}" for j in range(1, 9)]
+        assert capsys.readouterr().err == (
+            f"configuration error: --data {data}: data columns "
+            f"{[x for x in names if x != 'x3']} do not match the model's training columns "
+            f"{names}\n")
+
+    @pytest.mark.parametrize("key", ["feature_names", "groups", "standardize",
+                                     "standardize.names", "standardize.means",
+                                     "standardize.sds"])
+    def test_incomplete_preprocessing_block_names_file_and_key(self, workdir, capsys, key):
+        synth_dir, fit_dir = fit_small(workdir, n=300)
+        doc = json.loads((fit_dir / "model.json").read_text())
+        block = doc["preprocess"]
+        for part in key.split(".")[:-1]:
+            block = block[part]
+        del block[key.split(".")[-1]]
+        model = workdir / "incomplete.json"
+        model.write_text(json.dumps(doc))
+        data = ["--data", synth_dir / "test.csv", "--schema", workdir / "schema.txt"]
+        assert run("report", "--model", model, *data, "--control", "x7",
+                   "--out-dir", workdir / "rep") == 2
+        assert run("interactions", "--model", model, *data, "--out-dir", workdir / "int") == 2
+        want = f"configuration error: {model}: preprocessing block lacks {key!r}\n"
+        assert capsys.readouterr().err == want * 2
+
+
 class TestInteractions:
     def test_profiles_written(self, workdir):
         synth_dir, fit_dir = fit_small(workdir, n=600)

@@ -20,7 +20,7 @@ from localglmnet import (
     true_mu,
     write_csv,
 )
-from localglmnet import data as data_mod
+from localglmnet import data as data_mod, linalg
 from localglmnet.data import Schema, parse_schema, read_key_values
 from localglmnet.errors import ConfigError, DataError
 
@@ -442,7 +442,7 @@ class TestFastCsvIo:
 
     @pytest.mark.parametrize("with_v", [False, True])
     def test_write_matches_reference_bytes(self, tmp_path, monkeypatch, with_v):
-        monkeypatch.setattr(data_mod, "_WRITE_CHUNK_ROWS", 4)  # several chunks, one partial
+        monkeypatch.setattr(linalg, "EVAL_BLOCK_ROWS", 4)  # several blocks, one partial
         rng = rng_stream(3, "write")
         X = rng.standard_normal((11, 3)) * np.logspace(-300, 300, 3)
         X[0, 0], X[1, 1] = -0.0, 5e-324
@@ -475,7 +475,7 @@ class TestFastCsvIo:
                      feature_kinds=["continuous"] * q, groups={})
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_mod, "_WRITE_CHUNK_ROWS", data.draw(st.integers(1, 5)))
+            mp.setattr(linalg, "EVAL_BLOCK_ROWS", data.draw(st.integers(1, 5)))
             write_csv(ds, path)
         schema = parse_schema("".join(f"{x}: continuous\n" for x in names) + "y: response\n"
                               + ("" if np.all(v == 1.0) else "v: exposure\n"))

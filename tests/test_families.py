@@ -69,6 +69,73 @@ class TestPoissonDeviance:
         assert poisson_deviance(y, mu) >= 0.0
 
 
+def reference_mse(y, mu):
+    """mse_loss's own arithmetic before the family kernel became its only copy."""
+    return float(np.mean((y - mu) ** 2))
+
+
+def reference_poisson(y, mu):
+    """poisson_deviance's own checks and arithmetic before the family kernel
+    became their only copy."""
+    if np.any(mu <= 0.0):
+        raise ValueError("Poisson deviance requires mu > 0")
+    if np.any(y < 0.0):
+        raise ValueError("Poisson deviance requires y >= 0")
+    terms = mu - y
+    pos = y > 0
+    terms[pos] -= y[pos] * np.log(mu[pos] / y[pos])
+    return float(2.0 * np.mean(terms))
+
+
+def outcome(fn, *args):
+    """The bytes of ``fn(*args)``, or the type and message of what it raises."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestLossesKeepTheirBytes:
+    """mse_loss and poisson_deviance go through the in-place family kernels,
+    which training uses too, with the bytes and errors of their old formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 300)),
+                           st.tuples(st.integers(1, 20), st.integers(1, 20))),
+           seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 0.5), bad_mu=st.booleans(), bad_y=st.booleans(),
+           nan=st.booleans(), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e150]))
+    @example(shape=(1,), seed=0, zeros=1.0, bad_mu=True, bad_y=True, nan=False, scale=1.0)
+    def test_same_bytes_and_errors_as_the_old_formulas(self, shape, seed, zeros, bad_mu, bad_y,
+                                                       nan, scale):
+        rng = np.random.default_rng(seed)
+        y = np.where(rng.uniform(size=shape) < zeros, 0.0,
+                     np.round(rng.exponential(scale, shape), 2) if scale == 1.0
+                     else rng.exponential(scale, shape))
+        mu = rng.exponential(scale, shape) + 5e-324
+        flat_y, flat_mu = y.reshape(-1), mu.reshape(-1)
+        if bad_mu:
+            flat_mu[rng.integers(mu.size)] = rng.choice([0.0, -0.0, -scale])
+        if bad_y:
+            flat_y[rng.integers(y.size)] = -scale
+        if nan:
+            (flat_mu if rng.integers(2) else flat_y)[rng.integers(y.size)] = np.nan
+        assert outcome(mse_loss, y, mu) == outcome(reference_mse, y, mu)
+        assert outcome(poisson_deviance, y, mu) == outcome(reference_poisson, y, mu)
+        assert outcome(get_family("poisson").loss, y, mu) == outcome(reference_poisson, y, mu)
+
+    @pytest.mark.parametrize("loss", [mse_loss, poisson_deviance])
+    @pytest.mark.parametrize("y, mu, message", [
+        (np.ones(0), np.ones(2), "length mismatch: y has shape (0,), mu has (2,)"),
+        (np.ones((2, 3)), np.ones(6), "length mismatch: y has shape (2, 3), mu has (6,)"),
+        (np.ones((0, 3)), np.ones((0, 3)), "need at least one observation"),
+    ])
+    def test_shape_checks_come_first(self, loss, y, mu, message):
+        with pytest.raises(ValueError) as err:
+            loss(-y, -mu)  # negative, so a value check would fire if it ran first
+        assert str(err.value) == message
+
+
 class TestFitNull:
     def test_gaussian_mean(self):
         assert fit_null(np.array([1.0, 3.0])) == 2.0
@@ -167,6 +234,22 @@ class TestFitGlm:
             warnings.simplefilter("error")  # log(v) would warn first
             with pytest.raises(ValueError, match="exposures must be positive"):
                 fit_glm(X, rng.poisson(1.0, 40).astype(float), v, get_family("poisson"))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5])
+    def test_bad_exposure_names_its_row_index(self, bad):
+        # A NaN exposure fails v > 0 like 0 and -0.5 do, so the GLM rejects it
+        # with train.fit's message rather than fitting to a nan deviance; the
+        # null fit follows the same rule.
+        rng = rng_stream(9, "glm-expo")
+        X = rng.standard_normal((40, 2))
+        y, v = rng.poisson(1.0, 40).astype(float), rng.uniform(0.5, 1.0, 40)
+        v[[7, 30]] = bad
+        want = f"exposures must be positive; row index 7 has exposure {bad!r}"
+        for fit_one in (lambda: fit_glm(X, y, v, get_family("poisson")),
+                        lambda: fit_null(y, v, get_family("poisson"))):
+            with pytest.raises(ValueError) as err:
+                fit_one()
+            assert str(err.value) == want
 
     def test_rank_deficiency_names_columns(self):
         rng = rng_stream(8, "glm-rank")

@@ -175,6 +175,15 @@ def differing_facts(stored, here):
             for key in stored if stored[key] != here.get(key)]
 
 
+def differing_facts_message():
+    """Failure text naming each fact of ``machine.json`` that differs on this
+    machine, or saying that none does."""
+    stored = json.loads((GOLDEN / "machine.json").read_text(encoding="utf-8"))
+    facts = differing_facts(stored, machine_facts()) or [
+        "  none: every recorded machine fact matches, so the code moved the bytes"]
+    return "machine facts that differ from the recording machine:\n" + "\n".join(facts)
+
+
 def read_golden():
     digests = {}
     for line in (GOLDEN / "SHA256SUMS").read_text(encoding="utf-8").splitlines():
@@ -192,12 +201,8 @@ def test_outputs_match_golden(tmp_path):
     moved = [f"{name} ({status(name)})"
              for name in sorted(set(want) | set(got)) if want.get(name) != got.get(name)]
     if moved:
-        stored = json.loads((GOLDEN / "machine.json").read_text(encoding="utf-8"))
-        facts = differing_facts(stored, machine_facts()) or [
-            "  none: every recorded machine fact matches, so the code moved the bytes"]
         raise AssertionError(f"{len(moved)} of {len(want)} golden outputs moved: "
-                             f"{', '.join(moved)}\nmachine facts that differ from the "
-                             "recording machine:\n" + "\n".join(facts))
+                             f"{', '.join(moved)}\n" + differing_facts_message())
 
 
 def test_machine_record_names_what_the_bytes_depend_on():
